@@ -17,7 +17,7 @@ trait BenchBase extends SparkSpec {
     val dir = new java.io.File(sys.props.getOrElse("bench.reports.dir",
       new java.io.File("..", "bench_reports").getPath))
     dir.mkdirs()
-    val w = new java.io.PrintWriter(new java.io.File(dir, s"$name.txt"))
+    val w = new java.io.PrintWriter(new java.io.File(dir, s"$name.txt"), "UTF-8")
     try w.print(report) finally w.close()
   }
 

@@ -3,113 +3,44 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 import repro.exp._
 
-/** spark-submit entrypoints — one per paper table/figure. Each prints the
-  * same rows the bench suite asserts on. Pass `--quick` for a fast smoke
-  * run at reduced scale.
+/** spark-submit entry point: runs one experiment (or `all`, in order) and
+  * prints the same rows the bench suite asserts on. Pass `--quick` for a
+  * fast smoke run at reduced scale.
   *
-  * {{{ spark-submit --class repro.jobs.Exp3AnalyticsJob repro.jar }}}
+  * {{{ spark-submit --class repro.jobs.Run repro.jar exp3 [--quick] }}}
   */
-object JobUtil {
-  def session(name: String): SparkSession = {
-    val s = SparkSession.builder
+object Run {
+
+  /** Experiment name → (session, quick) => report, one per paper table/figure. */
+  val Experiments: Seq[(String, (SparkSession, Boolean) => String)] = Seq(
+    "exp0" -> ((s, _) => Datasets.inventoryReport(s)),
+    "exp1" -> ((s, q) => Exp1Storage.report(Exp1Storage.run(s, q))),
+    "exp2" -> ((s, q) => Exp2Query.report(Exp2Query.run(s, q))),
+    "exp3" -> ((s, q) => Exp3Analytics.report(Exp3Analytics.run(s, q))),
+    "exp4" -> ((s, q) => Exp4Learning.report(Exp4Learning.run(s, q))),
+    "exp5" -> ((s, q) => Exp5Fraud.report(Exp5Fraud.run(s, q))),
+    "exp6" -> ((s, q) => Exp6Equity.report(Exp6Equity.run(s, q))),
+    "exp7" -> ((s, q) => Exp7Social.report(Exp7Social.run(s, q))),
+    "exp8" -> ((s, q) => Exp8Cyber.report(Exp8Cyber.run(s, q))),
+  )
+
+  def main(args: Array[String]): Unit = {
+    val chosen = args.filterNot(_ == "--quick") match {
+      case Array("all") => Experiments
+      case Array(name) if Experiments.exists(_._1 == name) => Experiments.filter(_._1 == name)
+      case _ =>
+        System.err.println(s"usage: repro.jobs.Run <${Experiments.map(_._1).mkString("|")}|all> [--quick]")
+        sys.exit(2)
+    }
+    val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(name)
+      .appName(if (chosen.size == 1) chosen.head._1 else "all-experiments")
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .config("spark.ui.enabled", value = false)
       .getOrCreate()
     s.sparkContext.setLogLevel("WARN")
-    s
-  }
-  def quick(args: Array[String]): Boolean = args.contains("--quick")
-}
-
-object Exp0DatasetsJob {
-  def main(args: Array[String]): Unit = {
-    val s = JobUtil.session("exp0-datasets")
-    println(Datasets.inventoryReport(s))
-    s.stop()
-  }
-}
-
-object Exp1StorageJob {
-  def main(args: Array[String]): Unit = {
-    val s = JobUtil.session("exp1-storage")
-    println(Exp1Storage.report(Exp1Storage.run(s, JobUtil.quick(args))))
-    s.stop()
-  }
-}
-
-object Exp2QueryJob {
-  def main(args: Array[String]): Unit = {
-    val s = JobUtil.session("exp2-query")
-    println(Exp2Query.report(Exp2Query.run(s, JobUtil.quick(args))))
-    s.stop()
-  }
-}
-
-object Exp3AnalyticsJob {
-  def main(args: Array[String]): Unit = {
-    val s = JobUtil.session("exp3-analytics")
-    println(Exp3Analytics.report(Exp3Analytics.run(s, JobUtil.quick(args))))
-    s.stop()
-  }
-}
-
-object Exp4LearningJob {
-  def main(args: Array[String]): Unit = {
-    val s = JobUtil.session("exp4-learning")
-    println(Exp4Learning.report(Exp4Learning.run(s, JobUtil.quick(args))))
-    s.stop()
-  }
-}
-
-object Exp5FraudJob {
-  def main(args: Array[String]): Unit = {
-    val s = JobUtil.session("exp5-fraud")
-    println(Exp5Fraud.report(Exp5Fraud.run(s, JobUtil.quick(args))))
-    s.stop()
-  }
-}
-
-object Exp6EquityJob {
-  def main(args: Array[String]): Unit = {
-    val s = JobUtil.session("exp6-equity")
-    println(Exp6Equity.report(Exp6Equity.run(s, JobUtil.quick(args))))
-    s.stop()
-  }
-}
-
-object Exp7SocialJob {
-  def main(args: Array[String]): Unit = {
-    val s = JobUtil.session("exp7-social")
-    println(Exp7Social.report(Exp7Social.run(s, JobUtil.quick(args))))
-    s.stop()
-  }
-}
-
-object Exp8CyberJob {
-  def main(args: Array[String]): Unit = {
-    val s = JobUtil.session("exp8-cyber")
-    println(Exp8Cyber.report(Exp8Cyber.run(s, JobUtil.quick(args))))
-    s.stop()
-  }
-}
-
-/** Runs every experiment in sequence (the full evaluation). */
-object AllExperimentsJob {
-  def main(args: Array[String]): Unit = {
-    val s = JobUtil.session("all-experiments")
-    val q = JobUtil.quick(args)
-    println(Datasets.inventoryReport(s))
-    println(Exp1Storage.report(Exp1Storage.run(s, q)))
-    println(Exp2Query.report(Exp2Query.run(s, q)))
-    println(Exp3Analytics.report(Exp3Analytics.run(s, q)))
-    println(Exp4Learning.report(Exp4Learning.run(s, q)))
-    println(Exp5Fraud.report(Exp5Fraud.run(s, q)))
-    println(Exp6Equity.report(Exp6Equity.run(s, q)))
-    println(Exp7Social.report(Exp7Social.run(s, q)))
-    println(Exp8Cyber.report(Exp8Cyber.run(s, q)))
-    s.stop()
+    try chosen.foreach { case (_, run) => println(run(s, args.contains("--quick"))) }
+    finally s.stop()
   }
 }

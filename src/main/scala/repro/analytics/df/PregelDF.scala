@@ -10,7 +10,8 @@ import org.apache.spark.sql.functions._
   * join-per-superstep DataFrames on Catalyst. These are the implementations
   * the storage-matrix experiment (Exp-1a) and the equity case study (Exp-6,
   * "implemented with the GraphX API") run on. Each iteration localCheckpoints
-  * periodically to keep lineage bounded.
+  * periodically to keep lineage bounded, and a cached frame is unpersisted
+  * once the frames built from it have been materialized.
   */
 object PregelDF {
 
@@ -27,22 +28,23 @@ object PregelDF {
     val outDeg = e.groupBy(col("src").as("id")).agg(count(lit(1)).as("deg"))
 
     var ranks = vertices.withColumn("rank", lit(1.0 / n))
+    var prev = ranks
     var it = 0
     while (it < iters) {
       val withDeg = ranks.join(outDeg, Seq("id"), "left")
       val danglingMass = withDeg.filter(col("deg").isNull)
         .agg(coalesce(sum("rank"), lit(0.0))).collect()(0).getDouble(0)
+      prev.unpersist() // that scan materialized `ranks`
       val contribs = withDeg.filter(col("deg").isNotNull)
         .join(e, col("id") === col("src"))
         .select(col("dst").as("id"), (col("rank") / col("deg")).as("c"))
         .groupBy("id").agg(sum("c").as("s"))
-      val prev = ranks
+      prev = ranks
       ranks = vertices.join(contribs, Seq("id"), "left")
         .select(col("id"),
           (lit((1 - d) / n) + lit(d) * (coalesce(col("s"), lit(0.0)) + lit(danglingMass / n)))
             .as("rank"))
       ranks = checkpoint(ranks, it)
-      prev.unpersist()
       it += 1
     }
     ranks
@@ -52,6 +54,7 @@ object PregelDF {
   def bfs(spark: SparkSession, edges: DataFrame, source: Long): DataFrame = {
     val e = edges.select("src", "dst").cache()
     var dist = spark.range(1).select(lit(source).as("id"), lit(0).as("dist"))
+    var prevDist = dist
     var frontier = dist
     var level = 0
     var active = 1L
@@ -62,7 +65,13 @@ object PregelDF {
         .withColumn("dist", lit(level + 1))
       val nf = checkpoint(next, level, every = 3)
       active = nf.count()
-      dist = checkpoint(dist.union(nf), level, every = 3)
+      // that count materialized `dist`, so the frames it was built from can go
+      prevDist.unpersist()
+      frontier.unpersist()
+      if (active > 0) {
+        prevDist = dist
+        dist = checkpoint(dist.union(nf), level, every = 3)
+      } else nf.unpersist()
       frontier = nf
       level += 1
     }
@@ -78,6 +87,7 @@ object PregelDF {
       .distinct().cache()
     var labels = und.select(col("src").as("id")).distinct()
       .withColumn("comp", col("id"))
+    var prev: DataFrame = null
     var changed = 1L
     var it = 0
     while (changed > 0 && it < maxIters) {
@@ -89,6 +99,8 @@ object PregelDF {
           (col("newComp").isNotNull && col("newComp") < col("comp")).as("ch"))
       val nl = checkpoint(updated, it)
       changed = nl.filter(col("ch")).count()
+      if (prev != null) prev.unpersist() // that count materialized `nl`
+      prev = nl
       labels = nl.select("id", "comp")
       it += 1
     }
@@ -100,6 +112,7 @@ object PregelDF {
            maxIters: Int = 50): DataFrame = {
     val e = edges.select("src", "dst", "weight").cache()
     var dist = spark.range(1).select(lit(source).as("id"), lit(0.0).as("dist"))
+    var prevDist = dist
     var frontier = dist
     var it = 0
     var active = 1L
@@ -112,10 +125,16 @@ object PregelDF {
         .select(col("id2").as("id"), col("nd").as("dist"))
       val nf = checkpoint(improved, it, every = 3)
       active = nf.count()
-      dist = checkpoint(
-        dist.join(nf.select(col("id").as("uid")), col("id") === col("uid"), "left_anti")
-          .select("id", "dist")
-          .union(nf), it, every = 3)
+      // that count materialized `dist`, so the frames it was built from can go
+      prevDist.unpersist()
+      frontier.unpersist()
+      if (active > 0) {
+        prevDist = dist
+        dist = checkpoint(
+          dist.join(nf.select(col("id").as("uid")), col("id") === col("uid"), "left_anti")
+            .select("id", "dist")
+            .union(nf), it, every = 3)
+      } else nf.unpersist()
       frontier = nf
       it += 1
     }

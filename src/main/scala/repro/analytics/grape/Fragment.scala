@@ -1,6 +1,7 @@
 package repro.analytics.grape
 
 import repro.graph.LocalCsr
+import repro.grin.{Direction, GrinGraph}
 
 /** One GRAPE fragment (paper §6): the out-edges of the inner vertices this
   * fragment owns, under edge-cut partitioning.
@@ -31,38 +32,38 @@ final class Fragment(
 
 object Fragment {
   @inline def blockSizeOf(n: Int, nFrags: Int): Int = (n + nFrags - 1) / nFrags
-  @inline def ownerOf(v: Int, bs: Int): Int = v / bs
-  @inline def innerIdxOf(v: Int, bs: Int): Int = v % bs
-  def innerCountOf(fid: Int, nFrags: Int, n: Int): Int = {
-    val bs = blockSizeOf(n, nFrags)
-    math.max(0, math.min(bs, n - fid * bs))
-  }
 
   /** Partitions a global CSR into fragments (weights optional). */
-  def partition(csr: LocalCsr, nFrags: Int,
-                weights: Array[Double] = null): Array[Fragment] = {
-    val n = csr.n
+  def partition(csr: LocalCsr, nFrags: Int, weights: Array[Double] = null): Array[Fragment] =
+    split(csr.outOff, csr.outDst, weights, nFrags)
+
+  /** Partitions any GRIN backend's out-edges, read in one cursor pass. */
+  def fromGrin(g: GrinGraph, nFrags: Int): Array[Fragment] = {
+    val off = new Array[Int](g.vertexCount + 1)
+    val dst = new IntBuf
+    val c = g.newCursor(Direction.Out)
+    (0 until g.vertexCount).foreach { v =>
+      val cur = c.seek(v)
+      while (cur.moveNext()) dst.add(cur.neighbor)
+      off(v + 1) = dst.size
+    }
+    split(off, dst.toArray, null, nFrags)
+  }
+
+  /** Cuts a CSR into contiguous vertex ranges, whose edges are contiguous too. */
+  private def split(outOff: Array[Int], outDst: Array[Int], weights: Array[Double],
+                    nFrags: Int): Array[Fragment] = {
+    import java.util.Arrays.copyOfRange
+    val n = outOff.length - 1
     val bs = blockSizeOf(n, nFrags)
-    (0 until nFrags).toArray.map { fid =>
-      val ic = innerCountOf(fid, nFrags, n)
-      val off = new Array[Int](ic + 1)
+    Array.tabulate(nFrags) { fid =>
+      val lo = math.min(n, fid * bs)
+      val off = copyOfRange(outOff, lo, math.min(n, lo + bs) + 1)
+      val (e0, e1) = (off(0), off(off.length - 1))
       var i = 0
-      while (i < ic) { off(i + 1) = off(i) + csr.outDegree(fid * bs + i); i += 1 }
-      val dst = new Array[Int](off(ic))
-      val w = if (weights == null) null else new Array[Double](off(ic))
-      i = 0
-      while (i < ic) {
-        val v = fid * bs + i
-        var e = csr.outOff(v)
-        var p = off(i)
-        while (e < csr.outOff(v + 1)) {
-          dst(p) = csr.outDst(e)
-          if (w != null) w(p) = weights(e)
-          e += 1; p += 1
-        }
-        i += 1
-      }
-      new Fragment(fid, nFrags, n, off, dst, w)
+      while (i < off.length) { off(i) -= e0; i += 1 }
+      new Fragment(fid, nFrags, n, off, copyOfRange(outDst, e0, e1),
+        if (weights == null) null else copyOfRange(weights, e0, e1))
     }
   }
 }

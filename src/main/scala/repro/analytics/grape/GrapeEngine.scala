@@ -1,152 +1,107 @@
 package repro.analytics.grape
 
-import repro.util.{GrowableBytes, Parallel, Varint}
+import repro.util.{GrowableBytes, Varint}
 
-/** GRAPE — the high-performance fragment-centric analytics engine (§6).
-  *
-  * The real GRAPE is a C++/MPI system; this is its faithful shared-memory
-  * simulation (DESIGN.md substitution 2): one worker thread per fragment,
-  * barrier-synchronized supersteps, and — the mechanism the paper credits
-  * for its CPU-backend wins — *message aggregation*: "it aggregates
-  * fragmented, randomly distributed small messages in memory into a
-  * continuous compact buffer before dispatching them all at once". Here
-  * every (src, dst) fragment pair communicates through one dense primitive
-  * buffer per superstep; no per-message allocation ever happens.
-  *
-  * [[messageBytesVarint]] reports what the wire size would be under GRAPE's
-  * varint message encoding (the peak-memory reduction claim).
+/** GRAPE — the fragment-centric analytics engine (§6), simulated in shared
+  * memory (DESIGN.md substitution 2). Its built-in algorithms are PIE
+  * programs on [[Pie.run]]. Results live in one array by global id, and a
+  * fragment writes only its own range. [[messageBytesVarint]] reports the
+  * wire size under GRAPE's varint message encoding (the peak-memory claim).
   */
 object GrapeEngine {
 
-  /** PageRank, fragment-parallel with dense per-destination combiners. */
+  /** PageRank: each IncEval round folds the summed contributions into the
+    * ranks and scatters the next; dangling mass goes through the global sum.
+    */
   def pageRank(frags: Array[Fragment], iters: Int, d: Double = 0.85): Array[Double] = {
-    val nF = frags.length
     val n = frags(0).nGlobal
-    val bs = frags(0).blockSize
-    val rank = frags.map(f => Array.fill(f.innerCount)(1.0 / n))
-    val next = frags.map(f => new Array[Double](f.innerCount))
-    // buf(src)(dst) — the compact aggregated message buffer for each pair.
-    val buf = Array.tabulate(nF, nF)((_, dstF) => new Array[Double](frags(dstF).innerCount))
-    val dangling = new Array[Double](nF)
-
-    var it = 0
-    while (it < iters) {
-      // scatter: each fragment accumulates into its private per-dst buffers
-      Parallel.run(nF) { fid =>
-        val f = frags(fid)
-        val myBuf = buf(fid)
-        var dd = 0.0
-        myBuf.foreach(java.util.Arrays.fill(_, 0.0))
-        var i = 0
-        while (i < f.innerCount) {
-          val deg = f.degree(i)
-          if (deg == 0) dd += rank(fid)(i)
-          else {
-            val c = rank(fid)(i) / deg
-            var e = f.off(i)
-            val end = f.off(i + 1)
-            while (e < end) {
-              val u = f.dst(e)
-              myBuf(u / bs)(u % bs) += c
-              e += 1
-            }
-          }
-          i += 1
-        }
-        dangling(fid) = dd
-      }
-      val danglingShare = dangling.sum / n
-      // gather: each fragment folds the nF buffers addressed to it
-      Parallel.run(nF) { fid =>
-        val ic = frags(fid).innerCount
-        val out = next(fid)
-        var i = 0
-        while (i < ic) {
-          var s = 0.0
-          var sf = 0
-          while (sf < nF) { s += buf(sf)(fid)(i); sf += 1 }
-          out(i) = (1 - d) / n + d * (s + danglingShare)
-          i += 1
-        }
-      }
-      (0 until nF).foreach { fid => System.arraycopy(next(fid), 0, rank(fid), 0, rank(fid).length) }
-      it += 1
-    }
-
-    val out = new Array[Double](n)
-    (0 until nF).foreach { fid =>
+    val rank = new Array[Double](n)
+    java.util.Arrays.fill(rank, 1.0 / n)
+    def scatter(f: Fragment, ctx: PieContext): Unit = {
+      val lo = f.globalOf(0)
+      var dangling = 0.0
       var i = 0
-      while (i < rank(fid).length) { out(fid * bs + i) = rank(fid)(i); i += 1 }
-    }
-    out
-  }
-
-  /** BFS with per-fragment frontiers and compact new-vertex buffers. */
-  def bfs(frags: Array[Fragment], source: Int): Array[Int] = {
-    val nF = frags.length
-    val n = frags(0).nGlobal
-    val bs = frags(0).blockSize
-    val dist = frags.map(f => Array.fill(f.innerCount)(-1))
-    // frontier per fragment (inner indices); msgs(src)(dst) = newly reached global ids
-    var frontier = Array.fill(nF)(new IntBuf)
-    val msgs = Array.tabulate(nF, nF)((_, _) => new IntBuf)
-
-    dist(source / bs)(source % bs) = 0
-    frontier(source / bs).add(source % bs)
-    var level = 0
-    var active = 1L
-
-    while (active > 0) {
-      Parallel.run(nF) { fid =>
-        val f = frags(fid)
-        val my = msgs(fid)
-        my.foreach(_.clear())
-        val fr = frontier(fid)
-        var k = 0
-        while (k < fr.size) {
-          val i = fr(k)
+      while (i < f.innerCount) {
+        val deg = f.degree(i)
+        if (deg == 0) dangling += rank(lo + i)
+        else {
+          val c = rank(lo + i) / deg
           var e = f.off(i)
           val end = f.off(i + 1)
-          while (e < end) {
-            val u = f.dst(e)
-            // optimistic check against the owner's dist (shared memory read;
-            // the owner re-checks, so stale reads only cost duplicates)
-            if (dist(u / bs)(u % bs) < 0) my(u / bs).add(u)
-            e += 1
-          }
-          k += 1
+          while (e < end) { ctx.send(f.dst(e), c); e += 1 }
         }
+        i += 1
       }
-      val nextFrontier = Array.fill(nF)(new IntBuf)
-      val counts = new Array[Long](nF)
-      Parallel.run(nF) { fid =>
-        val d = dist(fid)
-        val nf = nextFrontier(fid)
-        var sf = 0
-        while (sf < nF) {
-          val m = msgs(sf)(fid)
+      ctx.aggregate(dangling)
+    }
+    Pie.run(frags, new PieProgram {
+      val combiner: Combiner = Combiner.Sum
+      def pEval(f: Fragment, ctx: PieContext): Unit = if (iters > 0) scatter(f, ctx)
+      def incEval(f: Fragment, ctx: PieContext): Unit = {
+        val lo = f.globalOf(0)
+        val hi = lo + f.innerCount
+        java.util.Arrays.fill(rank, lo, hi, 0.0)
+        (0 until ctx.nFrags).foreach { sf =>
+          val in = ctx.inbound(sf)
+          var v = lo
+          while (v < hi) { rank(v) += in(v - lo); v += 1 }
+        }
+        val danglingShare = ctx.globalSum / n
+        var v = lo
+        while (v < hi) { rank(v) = (1 - d) / n + d * (rank(v) + danglingShare); v += 1 }
+        if (ctx.round < iters) scatter(f, ctx)
+      }
+    }, maxRounds = iters)
+    rank
+  }
+
+  /** Level-synchronous BFS: round r settles the vertices first messaged in
+    * round r - 1 and messages their neighbors. A fragment offers a vertex at
+    * most once (its state for outer vertices); min folds several offers.
+    */
+  def bfs(frags: Array[Fragment], source: Int): Array[Int] = {
+    val n = frags(0).nGlobal
+    val dist = new Array[Int](n)
+    java.util.Arrays.fill(dist, -1)
+    val frontier = frags.map(_ => new IntBuf) // global ids settled this round
+    val offered = frags.map(_ => new Array[Long]((n + 63) >>> 6))
+    def expand(f: Fragment, ctx: PieContext): Unit = {
+      val fr = frontier(f.fid)
+      val seen = offered(f.fid)
+      var k = 0
+      while (k < fr.size) {
+        val i = fr(k) - f.globalOf(0)
+        var e = f.off(i)
+        val end = f.off(i + 1)
+        while (e < end) {
+          val u = f.dst(e)
+          if ((seen(u >>> 6) & 1L << u) == 0) { seen(u >>> 6) |= 1L << u; ctx.send(u, ctx.round + 1) }
+          e += 1
+        }
+        k += 1
+      }
+    }
+    Pie.run(frags, new PieProgram {
+      val combiner: Combiner = Combiner.Min
+      def pEval(f: Fragment, ctx: PieContext): Unit = {
+        if (source / f.blockSize == f.fid) { dist(source) = 0; frontier(f.fid).add(source) }
+        expand(f, ctx)
+      }
+      def incEval(f: Fragment, ctx: PieContext): Unit = {
+        frontier(f.fid).clear()
+        (0 until ctx.nFrags).foreach { sf =>
+          val ch = ctx.inbound(sf)
           var k = 0
-          while (k < m.size) {
-            val u = m(k)
-            val i = u % bs
-            if (d(i) < 0) { d(i) = level + 1; nf.add(i) }
+          while (k < ch.messages) {
+            val v = f.globalOf(ch.index(k))
+            if (dist(v) < 0) { dist(v) = ch(ch.index(k)).toInt; frontier(f.fid).add(v) }
             k += 1
           }
-          sf += 1
         }
-        counts(fid) = nf.size
+        expand(f, ctx)
       }
-      frontier = nextFrontier
-      active = counts.sum
-      level += 1
-    }
-
-    val out = new Array[Int](n)
-    (0 until nF).foreach { fid =>
-      var i = 0
-      while (i < dist(fid).length) { out(fid * bs + i) = dist(fid)(i); i += 1 }
-    }
-    out
+    }, maxRounds = Int.MaxValue)
+    dist
   }
 
   /** Wire size of a (vid, value) message batch under varint encoding vs raw

@@ -4,54 +4,116 @@ import repro.graph.LocalCsr
 import repro.util.Parallel
 
 /** The three programming models GraphScope Flex layers over GRAPE (§6):
-  * subgraph-centric PIE, vertex-centric Pregel, and FLASH's vertex-subset
-  * algebra with non-neighbor communication.
+  * subgraph-centric PIE, the one runtime; vertex-centric Pregel, an adapter
+  * on it; and FLASH's vertex-subset algebra with non-neighbor communication.
   */
 
 // ---------------------------------------------------------------------------
 // PIE — PEval / IncEval over fragments (GRAPE's native model)
 // ---------------------------------------------------------------------------
 
-/** Per-round message channel: `send` buffers (globalVid, msg) pairs per
-  * destination fragment; the engine delivers them before the next IncEval.
-  */
-final class PieContext[M](val fid: Int, val nFrags: Int, val blockSize: Int) {
-  private[grape] val outbox: Array[scala.collection.mutable.ArrayBuffer[(Int, M)]] =
-    Array.fill(nFrags)(scala.collection.mutable.ArrayBuffer.empty[(Int, M)])
-  def send(globalVid: Int, msg: M): Unit =
-    outbox(globalVid / blockSize) += ((globalVid, msg))
+/** How a channel folds the messages one vertex receives in a round. */
+sealed abstract class Combiner(val identity: Double) { def apply(a: Double, b: Double): Double }
+
+object Combiner {
+  case object Sum extends Combiner(0.0) { def apply(a: Double, b: Double): Double = a + b }
+  case object Min extends Combiner(Double.PositiveInfinity) {
+    def apply(a: Double, b: Double): Double = if (b < a) b else a
+  }
 }
 
-trait PieProgram[M] {
+/** One round's messages from one fragment to another (§6's "continuous
+  * compact buffer"): a value per destination inner vertex, the combiner's
+  * identity where none was sent (so Sum messages must be non-negative), and
+  * the indices messaged. Min channels list an index on its first send; in
+  * dense Sum rounds (PageRank) that branch would double a send's cost, so
+  * one scan lists them after sending.
+  */
+final class Channel(size: Int, combiner: Combiner) {
+  private val identity = combiner.identity
+  private val listOnSend = combiner eq Combiner.Min
+  private val value = new Array[Double](size)
+  java.util.Arrays.fill(value, identity)
+  private val indices = new IntBuf
+
+  @inline def send(inner: Int, msg: Double): Unit = {
+    val old = value(inner)
+    if (listOnSend && old == identity && msg != identity) indices.add(inner)
+    value(inner) = combiner(old, msg)
+  }
+
+  private[grape] def seal(): Unit =
+    if (!listOnSend) {
+      var i = 0
+      while (i < size) { if (value(i) != identity) indices.add(i); i += 1 }
+    }
+
+  /** Number of distinct vertices messaged. */
+  def messages: Int = indices.size
+  /** The `k`-th messaged inner index. */
+  @inline def index(k: Int): Int = indices(k)
+  @inline def apply(inner: Int): Double = value(inner)
+
+  /** Restores the messaged entries to the identity. */
+  private[grape] def reset(): Unit = {
+    var k = 0
+    while (k < indices.size) { value(indices(k)) = identity; k += 1 }
+    indices.clear()
+  }
+}
+
+/** Fragment `fid`'s view of one round: `round` is 0 in PEval, then 1, 2, …;
+  * `globalSum` adds up all fragments' [[aggregate]] calls of the last round.
+  */
+final class PieContext private[grape] (val fid: Int, val nFrags: Int, val blockSize: Int,
+    val round: Int, val globalSum: Double, out: Array[Channel], in: Array[Array[Channel]]) {
+  private[grape] var partialSum = 0.0
+  @inline def send(globalVid: Int, msg: Double): Unit =
+    out(globalVid / blockSize).send(globalVid % blockSize, msg)
+  def aggregate(x: Double): Unit = partialSum += x
+  /** What fragment `srcFid` sent to this one in the previous round. */
+  @inline def inbound(srcFid: Int): Channel = in(srcFid)(fid)
+}
+
+trait PieProgram {
+  def combiner: Combiner
   /** Partial evaluation: run the (sequential) algorithm on the local
     * fragment to a local fixpoint, emitting boundary messages.
     */
-  def pEval(frag: Fragment, ctx: PieContext[M]): Unit
-  /** Incremental evaluation on arrival of remote updates. */
-  def incEval(frag: Fragment, messages: Seq[(Int, M)], ctx: PieContext[M]): Unit
+  def pEval(frag: Fragment, ctx: PieContext): Unit
+  /** Incremental evaluation on arrival of remote updates (`ctx.inbound`). */
+  def incEval(frag: Fragment, ctx: PieContext): Unit
 }
 
 object Pie {
-  /** Runs PEval once, then IncEval rounds until no messages flow. */
-  def run[M](frags: Array[Fragment], program: PieProgram[M], maxRounds: Int = 1000): Int = {
+  /** Runs PEval, then IncEval rounds until one sends no message or
+    * `maxRounds` have run, each round one parallel phase; returns the IncEval
+    * rounds. Round r sends on channel set r % 2 and reads, then resets, the other.
+    */
+  def run(frags: Array[Fragment], program: PieProgram, maxRounds: Int = 1000): Int = {
     val nF = frags.length
-    var inbox: Array[Seq[(Int, M)]] = {
-      val ctxs = frags.map(f => new PieContext[M](f.fid, nF, f.blockSize))
-      Parallel.run(nF)(fid => program.pEval(frags(fid), ctxs(fid)))
-      collectMail(ctxs)
+    val chans = Array.fill(2)(
+      Array.tabulate(nF, nF)((_, dst) => new Channel(frags(dst).innerCount, program.combiner)))
+    val ctxs = new Array[PieContext](nF)
+    var globalSum = 0.0
+    def superstep(round: Int): Boolean = {
+      val (out, in) = (chans(round & 1), chans((round + 1) & 1))
+      Parallel.run(nF) { fid =>
+        val f = frags(fid)
+        val ctx = new PieContext(fid, nF, f.blockSize, round, globalSum, out(fid), in)
+        ctxs(fid) = ctx
+        if (f.innerCount == 0) () // more fragments than vertices: nothing to evaluate
+        else if (round == 0) program.pEval(f, ctx) else program.incEval(f, ctx)
+        (0 until nF).foreach { g => in(g)(fid).reset(); out(fid)(g).seal() }
+      }
+      globalSum = ctxs.foldLeft(0.0)(_ + _.partialSum)
+      out.exists(_.exists(_.messages > 0))
     }
+    var active = superstep(0)
     var rounds = 0
-    while (inbox.exists(_.nonEmpty) && rounds < maxRounds) {
-      val ctxs = frags.map(f => new PieContext[M](f.fid, nF, f.blockSize))
-      Parallel.run(nF)(fid => program.incEval(frags(fid), inbox(fid), ctxs(fid)))
-      inbox = collectMail(ctxs)
-      rounds += 1
-    }
+    while (active && rounds < maxRounds) { rounds += 1; active = superstep(rounds) }
     rounds
   }
-
-  private def collectMail[M](ctxs: Array[PieContext[M]]): Array[Seq[(Int, M)]] =
-    Array.tabulate(ctxs.length)(dst => ctxs.flatMap(_.outbox(dst)).toSeq)
 }
 
 /** Connected components as a PIE program: PEval runs label propagation to a
@@ -59,124 +121,105 @@ object Pie {
   * GRAPE from think-like-a-vertex engines — then IncEval re-propagates only
   * what remote updates disturb. Run on a symmetrized graph.
   */
-final class WccPie(frags: Array[Fragment]) extends PieProgram[Int] {
-  val labels: Array[Array[Int]] =
-    frags.map(f => Array.tabulate(f.innerCount)(i => f.globalOf(i)))
+final class WccPie(frags: Array[Fragment]) extends PieProgram {
+  val combiner: Combiner = Combiner.Min
+  /** Component label (the least vertex id reached) by global id. */
+  val labels: Array[Int] = Array.range(0, frags(0).nGlobal)
 
-  private def localFix(frag: Fragment, seeds: Iterator[Int], ctx: PieContext[Int]): Unit = {
-    val fid = frag.fid; val bs = frag.blockSize
-    val lab = labels(fid)
-    val work = new IntBuf
-    seeds.foreach(work.add)
+  private def localFix(frag: Fragment, work: IntBuf, ctx: PieContext): Unit = {
+    val lo = frag.globalOf(0)
+    val hi = lo + frag.innerCount
     var head = 0
     while (head < work.size) {
-      val i = work(head); head += 1
-      val l = lab(i)
-      var e = frag.off(i)
-      val end = frag.off(i + 1)
+      val v = work(head); head += 1
+      val l = labels(v)
+      var e = frag.off(v - lo)
+      val end = frag.off(v - lo + 1)
       while (e < end) {
         val u = frag.dst(e)
-        if (u / bs == fid) {
-          val j = u % bs
-          if (lab(j) > l) { lab(j) = l; work.add(j) }
-        } else ctx.send(u, l)
+        if (u < lo || u >= hi) ctx.send(u, l)
+        else if (labels(u) > l) { labels(u) = l; work.add(u) }
         e += 1
       }
     }
   }
 
-  def pEval(frag: Fragment, ctx: PieContext[Int]): Unit =
-    localFix(frag, Iterator.range(0, frag.innerCount), ctx)
+  def pEval(frag: Fragment, ctx: PieContext): Unit = {
+    val all = new IntBuf(math.max(1, frag.innerCount))
+    (0 until frag.innerCount).foreach(i => all.add(frag.globalOf(i)))
+    localFix(frag, all, ctx)
+  }
 
-  def incEval(frag: Fragment, messages: Seq[(Int, Int)], ctx: PieContext[Int]): Unit = {
-    val lab = labels(frag.fid)
+  def incEval(frag: Fragment, ctx: PieContext): Unit = {
     val changed = new IntBuf
-    messages.foreach { case (v, l) =>
-      val i = v % frag.blockSize
-      if (lab(i) > l) { lab(i) = l; changed.add(i) }
+    (0 until ctx.nFrags).foreach { sf =>
+      val ch = ctx.inbound(sf)
+      var k = 0
+      while (k < ch.messages) {
+        val v = frag.globalOf(ch.index(k))
+        val l = ch(ch.index(k)).toInt
+        if (labels(v) > l) { labels(v) = l; changed.add(v) }
+        k += 1
+      }
     }
-    localFix(frag, Iterator.tabulate(changed.size)(changed(_)), ctx)
-  }
-
-  def result(n: Int): Array[Int] = {
-    val out = new Array[Int](n)
-    frags.foreach { f =>
-      var i = 0
-      while (i < f.innerCount) { out(f.globalOf(i)) = labels(f.fid)(i); i += 1 }
-    }
-    out
+    localFix(frag, changed, ctx)
   }
 }
 
 // ---------------------------------------------------------------------------
-// Pregel — think-like-a-vertex adapter on the fragment substrate
+// Pregel — think-like-a-vertex adapter over PIE
 // ---------------------------------------------------------------------------
 
-final class PregelCtx[M](val fid: Int, val nFrags: Int, val blockSize: Int) {
-  private[grape] val outbox: Array[scala.collection.mutable.ArrayBuffer[(Int, M)]] =
-    Array.fill(nFrags)(scala.collection.mutable.ArrayBuffer.empty[(Int, M)])
-  def sendTo(globalVid: Int, msg: M): Unit = outbox(globalVid / blockSize) += ((globalVid, msg))
-}
-
-trait PregelProgram[S, M] {
-  def init(globalVid: Int): S
-  /** Called on superstep 0 for every vertex and afterwards only for vertices
-    * with inbound messages. Returns the new state.
+trait PregelProgram {
+  def combiner: Combiner
+  def init(globalVid: Int): Double
+  /** Runs at superstep 0 on every vertex (`msg` = the identity), then on
+    * each vertex messaged, with its messages folded; returns the new value.
     */
-  def compute(superstep: Int, frag: Fragment, inner: Int, state: S,
-              msgs: Seq[M], ctx: PregelCtx[M]): S
+  def compute(superstep: Int, frag: Fragment, inner: Int, value: Double,
+              msg: Double, ctx: PieContext): Double
 }
 
 object Pregel {
-  def run[S, M](frags: Array[Fragment], program: PregelProgram[S, M],
-                maxSupersteps: Int = 100): Array[Array[Any]] = {
-    val nF = frags.length
-    val states: Array[Array[Any]] = frags.map(f =>
-      Array.tabulate[Any](f.innerCount)(i => program.init(f.globalOf(i))))
-    var step = 0
-    var inbox: Array[Seq[(Int, M)]] = Array.fill(nF)(Seq.empty)
-    var anyActive = true
-    while (anyActive && step < maxSupersteps) {
-      val ctxs = frags.map(f => new PregelCtx[M](f.fid, nF, f.blockSize))
-      Parallel.run(nF) { fid =>
-        val f = frags(fid)
-        if (step == 0) {
-          var i = 0
-          while (i < f.innerCount) {
-            states(fid)(i) = program.compute(0, f, i, states(fid)(i).asInstanceOf[S], Seq.empty, ctxs(fid))
-            i += 1
-          }
-        } else {
-          inbox(fid).groupBy(_._1).foreach { case (v, ms) =>
-            val i = v % frags(fid).blockSize
-            states(fid)(i) = program.compute(step, f, i, states(fid)(i).asInstanceOf[S],
-              ms.map(_._2), ctxs(fid))
-          }
+  /** Runs `program` on [[Pie.run]], PEval being superstep 0 and each
+    * IncEval round the next superstep. Returns the vertex values by global id.
+    */
+  def run(frags: Array[Fragment], program: PregelProgram, maxSupersteps: Int = 100): Array[Double] = {
+    val values = Array.tabulate(frags(0).nGlobal)(program.init)
+    val comb = program.combiner
+    Pie.run(frags, new PieProgram {
+      val combiner: Combiner = comb
+      def pEval(frag: Fragment, ctx: PieContext): Unit = incEval(frag, ctx)
+      def incEval(frag: Fragment, ctx: PieContext): Unit = {
+        var i = 0
+        while (i < frag.innerCount) {
+          var msg = comb.identity
+          var sf = 0
+          while (sf < ctx.nFrags) { msg = comb(msg, ctx.inbound(sf)(i)); sf += 1 }
+          val v = frag.globalOf(i)
+          if (ctx.round == 0 || msg != comb.identity)
+            values(v) = program.compute(ctx.round, frag, i, values(v), msg, ctx)
+          i += 1
         }
       }
-      inbox = Array.tabulate(nF)(dst => ctxs.flatMap(_.outbox(dst)).toSeq)
-      anyActive = inbox.exists(_.nonEmpty)
-      step += 1
-    }
-    states
+    }, maxRounds = maxSupersteps - 1)
+    values
   }
 }
 
-/** SSSP in the Pregel model (weighted relaxation with message combining
-  * left to the inbox groupBy).
-  */
-final class SsspPregel(source: Int) extends PregelProgram[Double, Double] {
+/** SSSP in the Pregel model: weighted relaxation, offers folded by min. */
+final class SsspPregel(source: Int) extends PregelProgram {
+  val combiner: Combiner = Combiner.Min
   def init(v: Int): Double = if (v == source) 0.0 else Double.PositiveInfinity
-  def compute(step: Int, frag: Fragment, i: Int, state: Double,
-              msgs: Seq[Double], ctx: PregelCtx[Double]): Double = {
-    val best = if (msgs.isEmpty) state else math.min(state, msgs.min)
-    val relaxed = step == 0 || best < state
-    if (relaxed && best < Double.PositiveInfinity) {
+  def compute(step: Int, frag: Fragment, i: Int, dist: Double,
+              msg: Double, ctx: PieContext): Double = {
+    val best = math.min(dist, msg)
+    if ((step == 0 || best < dist) && best < Double.PositiveInfinity) {
       var e = frag.off(i)
       val end = frag.off(i + 1)
       while (e < end) {
         val w = if (frag.weight == null) 1.0 else frag.weight(e)
-        ctx.sendTo(frag.dst(e), best + w)
+        ctx.send(frag.dst(e), best + w)
         e += 1
       }
     }

@@ -1,6 +1,7 @@
 package repro.flexbuild
 
 import org.apache.spark.sql.SparkSession
+import repro.analytics.grape
 import repro.graph.PropertyGraph
 import repro.grin.GrinGraph
 import repro.query._
@@ -81,11 +82,14 @@ object FlexBuild {
       GaiaExec.execute(plan, graph, params)
     }
 
-    /** Analytics path: built-in PageRank on the GRAPE engine. */
+    /** Analytics path: built-in PageRank on the GRAPE engine, one fragment
+      * per core, with the fragments read through GRIN.
+      */
     def pageRank(iters: Int): Array[Double] = {
       require(components(GrapeEngine), "GRAPE engine ⑯ not deployed")
       require(components(BuiltinAlgos), "built-in algorithm package ⑤ not deployed")
-      repro.exp.GrinAlgos.pageRank(grin.get, iters)
+      val frags = grape.Fragment.fromGrin(grin.get, Runtime.getRuntime.availableProcessors())
+      grape.GrapeEngine.pageRank(frags, iters)
     }
 
     def shutdown(): Unit = oltp.foreach(_.shutdown())

@@ -51,10 +51,42 @@ class GrapeSpec extends SparkSpec {
   }
 
   test("grape works with any fragment count") {
-    Seq(1, 3, 16).foreach { nF =>
+    val sym = symmetrize(uniCsr)
+    val wantWcc = groups(Reference.wcc(sym))
+    val rng = new java.util.Random(31)
+    val weights = Array.fill(uniCsr.m)(0.5 + rng.nextDouble())
+    val wantSssp = Reference.sssp(uniCsr, weights, 0)
+    val src = (0 until uniCsr.n).maxBy(uniCsr.outDegree)
+    Seq(1, 2, 3, 8, 16).foreach { nF =>
       val frags = Fragment.partition(uniCsr, nF)
       val got = GrapeEngine.pageRank(frags, 5)
-      assert(maxDiff(got, Reference.pageRank(uniCsr, 5)) < 1e-9, s"nFrags=$nF")
+      assert(maxDiff(got, Reference.pageRank(uniCsr, 5)) < 1e-9, s"PageRank nFrags=$nF")
+      assert(GrapeEngine.bfs(frags, src).toSeq == Reference.bfs(uniCsr, src).toSeq, s"BFS nFrags=$nF")
+      assert(groups(wcc(sym, nF)._1) == wantWcc, s"WCC nFrags=$nF")
+      assertSssp(sssp(uniCsr, weights, nF, 0), wantSssp, s"SSSP nFrags=$nF")
+    }
+  }
+
+  test("grape works with more fragments than vertices") {
+    // the 4-vertex star 0 -> {1, 2, 3} on 8 fragments: four stay empty
+    val star = LocalCsr.build(Array(0L, 0L, 0L), Array(1L, 2L, 3L))
+    val frags = Fragment.partition(star, 8)
+    assert(frags.count(_.innerCount == 0) == 4)
+    assert(maxDiff(GrapeEngine.pageRank(frags, 10), Reference.pageRank(star, 10)) < 1e-9)
+    assert(GrapeEngine.bfs(frags, 0).toSeq == Reference.bfs(star, 0).toSeq)
+    assert(GrapeEngine.bfs(frags, 2).toSeq == Reference.bfs(star, 2).toSeq)
+    val sym = symmetrize(star)
+    assert(groups(wcc(sym, 8)._1) == groups(Reference.wcc(sym)))
+    val weights = Array(1.5, 0.5, 2.0)
+    assertSssp(sssp(star, weights, 8, 0), Reference.sssp(star, weights, 0), "star")
+  }
+
+  test("grape PageRank and BFS are deterministic") {
+    csrs.foreach { case (name, csr) =>
+      val frags = Fragment.partition(csr, 4)
+      val src = (0 until csr.n).maxBy(csr.outDegree)
+      assert(java.util.Arrays.equals(GrapeEngine.pageRank(frags, 10), GrapeEngine.pageRank(frags, 10)), name)
+      assert(java.util.Arrays.equals(GrapeEngine.bfs(frags, src), GrapeEngine.bfs(frags, src)), name)
     }
   }
 
@@ -91,15 +123,9 @@ class GrapeSpec extends SparkSpec {
 
   test("WCC via PIE matches reference components (symmetrized)") {
     val sym = symmetrize(uniCsr)
-    val frags = Fragment.partition(sym, 8)
-    val pie = new WccPie(frags)
-    val rounds = Pie.run(frags, pie)
-    val got = pie.result(sym.n)
-    val want = Reference.wcc(sym)
+    val (got, rounds) = wcc(sym, 8)
     // same partition of vertices into components
-    val gotGroups = got.zipWithIndex.groupBy(_._1).values.map(_.map(_._2).toSet).toSet
-    val wantGroups = want.zipWithIndex.groupBy(_._1).values.map(_.map(_._2).toSet).toSet
-    assert(gotGroups == wantGroups)
+    assert(groups(got) == groups(Reference.wcc(sym)))
     assert(rounds < 50, s"PIE should converge quickly, took $rounds rounds")
   }
 
@@ -108,9 +134,7 @@ class GrapeSpec extends SparkSpec {
     // below the graph's vertex-hop diameter (GRAPE's PEval advantage)
     val grid = LocalCsr.fromDataFrame(GraphGen.highDiameter(spark, side = 14, shortcutFrac = 0.0))
     val sym = symmetrize(grid)
-    val frags = Fragment.partition(sym, 4)
-    val pie = new WccPie(frags)
-    val rounds = Pie.run(frags, pie)
+    val (_, rounds) = wcc(sym, 4)
     val vertexDiameter = Reference.bfs(sym, 0).max
     assert(rounds < vertexDiameter, s"PIE rounds $rounds vs diameter $vertexDiameter")
   }
@@ -118,17 +142,7 @@ class GrapeSpec extends SparkSpec {
   test("SSSP in the Pregel model matches Dijkstra") {
     val rng = new java.util.Random(31)
     val weights = Array.fill(uniCsr.m)(0.5 + rng.nextDouble())
-    val frags = Fragment.partition(uniCsr, 8, weights)
-    val src = 0
-    val states = Pregel.run(frags, new SsspPregel(src), maxSupersteps = 200)
-    val want = Reference.sssp(uniCsr, weights, src)
-    val bs = frags(0).blockSize
-    var v = 0
-    while (v < uniCsr.n) {
-      val got = states(v / bs)(v % bs).asInstanceOf[Double]
-      assert(math.abs(got - want(v)) < 1e-9 || (got.isInfinity && want(v).isInfinity), s"v=$v")
-      v += 1
-    }
+    assertSssp(sssp(uniCsr, weights, 8, 0), Reference.sssp(uniCsr, weights, 0), "uniform")
   }
 
   test("k-core via FLASH matches reference peeling") {
@@ -162,6 +176,26 @@ class GrapeSpec extends SparkSpec {
     assert(math.abs(pr.sum - 1.0) < 1e-9)
     assert(pr(1) > pr(0), "leaves receive mass from the hub")
   }
+
+  /** WCC labels by global id, and the IncEval rounds PIE needed. */
+  private def wcc(sym: LocalCsr, nF: Int): (Array[Int], Int) = {
+    val frags = Fragment.partition(sym, nF)
+    val pie = new WccPie(frags)
+    val rounds = Pie.run(frags, pie)
+    (pie.labels, rounds)
+  }
+
+  /** The vertex sets of the components a labelling induces. */
+  private def groups(labels: Array[Int]): Set[Set[Int]] =
+    labels.zipWithIndex.groupBy(_._1).values.map(_.map(_._2).toSet).toSet
+
+  private def sssp(csr: LocalCsr, weights: Array[Double], nF: Int, src: Int): Array[Double] =
+    Pregel.run(Fragment.partition(csr, nF, weights), new SsspPregel(src), maxSupersteps = 200)
+
+  private def assertSssp(got: Array[Double], want: Array[Double], clue: String): Unit =
+    want.indices.foreach { v =>
+      assert(math.abs(got(v) - want(v)) < 1e-9 || (got(v).isInfinity && want(v).isInfinity), s"$clue v=$v")
+    }
 
   private def symmetrize(csr: LocalCsr): LocalCsr = {
     val src = new scala.collection.mutable.ArrayBuffer[Long]()

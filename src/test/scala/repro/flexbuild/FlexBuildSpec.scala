@@ -52,6 +52,8 @@ class FlexBuildSpec extends SparkSpec {
     val stack = assemble(spark, Workload2AntiFraud, pg).toOption.get
     val pr = stack.pageRank(5)
     assert(math.abs(pr.sum - 1.0) < 1e-6)
+    val want = repro.exp.GrinAlgos.pageRank(stack.grin.get, 5)
+    assert(pr.length == want.length && pr.indices.forall(v => math.abs(pr(v) - want(v)) < 1e-9))
     intercept[IllegalArgumentException](
       stack.queryOltp("MATCH (p:PERSON) RETURN count(*) AS c"))
   }

@@ -107,6 +107,20 @@ class UtilSpec extends AnyFunSuite {
     }
   }
 
+  test("Parallel.run runs every index at once, also when nested") {
+    // Every inner index waits for all four, so a bounded pool or a queued
+    // index would time out; each outer index nests its own run.
+    val done = new java.util.concurrent.atomic.AtomicInteger(0)
+    Parallel.run(2) { _ =>
+      val barrier = new java.util.concurrent.CyclicBarrier(4)
+      Parallel.run(4) { _ =>
+        barrier.await(30, java.util.concurrent.TimeUnit.SECONDS)
+        done.incrementAndGet()
+      }
+    }
+    assert(done.get() == 8)
+  }
+
   test("Parallel.atomicAddDouble accumulates under contention") {
     val a = new java.util.concurrent.atomic.AtomicLongArray(1)
     Parallel.run(8) { _ =>
