@@ -12,7 +12,6 @@ object GrinAlgos {
     val n = g.vertexCount
     var rank = Array.fill(n)(1.0 / n)
     val deg = new Array[Int](n)
-    val c0 = g.newCursor(Direction.Out)
     var v = 0
     while (v < n) { deg(v) = g.degree(v, Direction.Out); v += 1 }
     var it = 0
