@@ -13,66 +13,155 @@ import repro.util.Parallel
 // ---------------------------------------------------------------------------
 
 /** How a channel folds the messages one vertex receives in a round. */
-sealed abstract class Combiner(val identity: Double) { def apply(a: Double, b: Double): Double }
+sealed abstract class Combiner(val identity: Double) {
+  def apply(a: Double, b: Double): Double
+  private[grape] def channel(size: Int): Channel
+}
 
 object Combiner {
-  case object Sum extends Combiner(0.0) { def apply(a: Double, b: Double): Double = a + b }
+  case object Sum extends Combiner(0.0) {
+    def apply(a: Double, b: Double): Double = a + b
+    private[grape] def channel(size: Int): Channel = new SumChannel(size)
+  }
   case object Min extends Combiner(Double.PositiveInfinity) {
     def apply(a: Double, b: Double): Double = if (b < a) b else a
+    private[grape] def channel(size: Int): Channel = new MinChannel(size)
   }
 }
 
 /** One round's messages from one fragment to another (§6's "continuous
-  * compact buffer"): a value per destination inner vertex, the combiner's
-  * identity where none was sent (so Sum messages must be non-negative), and
-  * the indices messaged. Min channels list an index on its first send; in
-  * dense Sum rounds (PageRank) that branch would double a send's cost, so
-  * one scan lists them after sending.
+  * compact buffer"): the folded value per destination inner vertex, and the
+  * indices messaged. There is one subclass per combiner, so a send never
+  * dispatches on the combiner.
   */
-final class Channel(size: Int, combiner: Combiner) {
-  private val identity = combiner.identity
-  private val listOnSend = combiner eq Combiner.Min
-  private val value = new Array[Double](size)
-  java.util.Arrays.fill(value, identity)
-  private val indices = new IntBuf
+sealed abstract class Channel(size: Int) {
+  protected final val vals = new Array[Double](size)
+  protected final val listed = new IntBuf
 
-  @inline def send(inner: Int, msg: Double): Unit = {
-    val old = value(inner)
-    if (listOnSend && old == identity && msg != identity) indices.add(inner)
-    value(inner) = combiner(old, msg)
-  }
-
-  private[grape] def seal(): Unit =
-    if (!listOnSend) {
-      var i = 0
-      while (i < size) { if (value(i) != identity) indices.add(i); i += 1 }
-    }
-
+  def send(inner: Int, msg: Double): Unit
   /** Number of distinct vertices messaged. */
-  def messages: Int = indices.size
+  final def messages: Int = listed.size
   /** The `k`-th messaged inner index. */
-  @inline def index(k: Int): Int = indices(k)
-  @inline def apply(inner: Int): Double = value(inner)
+  @inline final def index(k: Int): Int = listed(k)
+  /** The folded message to the `k`-th messaged inner index. */
+  @inline final def value(k: Int): Double = vals(listed(k))
 
-  /** Restores the messaged entries to the identity. */
+  private[grape] def seal(): Unit
+  /** Forgets the round's messages, restoring the messaged entries. */
+  private[grape] def reset(): Unit
+}
+
+object Channel {
+  /** The inbound channel of a pair that never sent. */
+  private[grape] val Empty: Channel = new SumChannel(0)
+}
+
+/** Sum: the zeroed array is the identity, so a send is one add and the seal
+  * lists the messaged indices in one scan (Sum messages must be non-zero).
+  */
+final class SumChannel(size: Int) extends Channel(size) {
+  @inline def send(inner: Int, msg: Double): Unit = vals(inner) += msg
+  private[grape] def seal(): Unit = {
+    var i = 0
+    while (i < size) { if (vals(i) != 0.0) listed.add(i); i += 1 }
+  }
   private[grape] def reset(): Unit = {
     var k = 0
-    while (k < indices.size) { value(indices(k)) = identity; k += 1 }
-    indices.clear()
+    while (k < listed.size) { vals(listed(k)) = 0.0; k += 1 }
+    listed.clear()
   }
+}
+
+/** Min: a bitmap marks the messaged indices, so the values need no fill;
+  * an index is listed on its first send.
+  */
+final class MinChannel(size: Int) extends Channel(size) {
+  private val marked = new Array[Long]((size + 63) >>> 6)
+  @inline def send(inner: Int, msg: Double): Unit = {
+    val w = inner >>> 6
+    val bit = 1L << inner
+    if ((marked(w) & bit) == 0) { marked(w) |= bit; listed.add(inner); vals(inner) = msg }
+    else if (msg < vals(inner)) vals(inner) = msg
+  }
+  private[grape] def seal(): Unit = ()
+  private[grape] def reset(): Unit = {
+    var k = 0
+    while (k < listed.size) { marked(listed(k) >>> 6) = 0L; k += 1 }
+    listed.clear()
+  }
+}
+
+/** The vertex values behind the mirror sync: per round parity and fragment,
+  * one array by local id (inner slots, then mirror slots). Allocated for the
+  * whole run on the first use, so programs that never sync pay nothing.
+  */
+private[grape] final class Mirrors(frags: Array[Fragment]) {
+  lazy val byParity: Array[Array[Array[Double]]] =
+    Array.fill(2)(frags.map(f => new Array[Double](f.innerCount + f.outer.length)))
 }
 
 /** Fragment `fid`'s view of one round: `round` is 0 in PEval, then 1, 2, …;
   * `globalSum` adds up all fragments' [[aggregate]] calls of the last round.
+  * Besides messages ([[send]] / [[inbound]]), a round can publish vertex
+  * values to the fragments that mirror them ([[publish]], [[syncMirrors]])
+  * and pull what the last round published ([[pull]]).
   */
-final class PieContext private[grape] (val fid: Int, val nFrags: Int, val blockSize: Int,
-    val round: Int, val globalSum: Double, out: Array[Channel], in: Array[Array[Channel]]) {
+final class PieContext private[grape] (frags: Array[Fragment], val fid: Int, val round: Int,
+    val globalSum: Double, combiner: Combiner, out: Array[Channel], in: Array[Array[Channel]],
+    mirrors: Mirrors) {
+  val nFrags: Int = frags.length
+  val blockSize: Int = frags(fid).blockSize
   private[grape] var partialSum = 0.0
-  @inline def send(globalVid: Int, msg: Double): Unit =
-    out(globalVid / blockSize).send(globalVid % blockSize, msg)
+  private[grape] var active = 0L
+  private[grape] var pulled = false
+  private[grape] var synced = false
+  private[grape] var mirrorValues = 0L
+
+  @inline def send(globalVid: Int, msg: Double): Unit = {
+    val owner = globalVid / blockSize
+    var ch = out(owner)
+    if (ch == null) { ch = combiner.channel(frags(owner).innerCount); out(owner) = ch }
+    ch.send(globalVid - owner * blockSize, msg)
+  }
   def aggregate(x: Double): Unit = partialSum += x
   /** What fragment `srcFid` sent to this one in the previous round. */
-  @inline def inbound(srcFid: Int): Channel = in(srcFid)(fid)
+  def inbound(srcFid: Int): Channel = {
+    val ch = in(srcFid)(fid)
+    if (ch == null) Channel.Empty else ch
+  }
+  /** Counts vertices this round computed on, for [[SuperstepStats]]. */
+  def markActive(count: Int): Unit = active += count
+
+  /** The values this round publishes, by local id: the fragment writes its
+    * inner slots, then [[syncMirrors]] copies them to their mirrors.
+    */
+  def publish: Array[Double] = mirrors.byParity(round & 1)(fid)
+  /** Writes this fragment's published inner values into the mirror slots of
+    * every fragment that mirrors them; those fragments [[pull]] them next
+    * round. A round that syncs is active, as one that sends.
+    */
+  def syncMirrors(): Unit = {
+    val bufs = mirrors.byParity(round & 1)
+    val mine = bufs(fid)
+    val lo = fid * blockSize
+    var g = 0
+    while (g < nFrags) {
+      val f = frags(g)
+      if (g != fid) {
+        val to = bufs(g)
+        var k = f.outerOff(fid)
+        val end = f.outerOff(fid + 1)
+        mirrorValues += end - k
+        while (k < end) { to(f.innerCount + k) = mine(f.outer(k) - lo); k += 1 }
+      }
+      g += 1
+    }
+    synced = true
+  }
+  /** What the last round published, by local id: this fragment's inner
+    * slots and its mirrors'. Reading it makes this a pull round.
+    */
+  def pull: Array[Double] = { pulled = true; mirrors.byParity((round + 1) & 1)(fid) }
 }
 
 trait PieProgram {
@@ -85,34 +174,70 @@ trait PieProgram {
   def incEval(frag: Fragment, ctx: PieContext): Unit
 }
 
-object Pie {
-  /** Runs PEval, then IncEval rounds until one sends no message or
-    * `maxRounds` have run, each round one parallel phase; returns the IncEval
-    * rounds. Round r sends on channel set r % 2 and reads, then resets, the other.
+/** What each round of one [[Pie.run]] did; round 0 is PEval. */
+final class SuperstepStats {
+  private val all = scala.collection.mutable.ArrayBuffer.empty[SuperstepStats.Round]
+  private[grape] def add(r: SuperstepStats.Round): Unit = all += r
+  def byRound: IndexedSeq[SuperstepStats.Round] = all.toIndexedSeq
+  /** IncEval rounds run. */
+  def rounds: Int = all.size - 1
+  /** Rounds in which some fragment pulled over its in-edges. */
+  def pullRounds: Int = all.count(_.pull)
+}
+
+object SuperstepStats {
+  /** One round: whether it pulled (else it pushed), the vertices the
+    * fragments marked active, the distinct vertices messaged, the mirror
+    * values synced, and the slowest fragment's compute time.
     */
-  def run(frags: Array[Fragment], program: PieProgram, maxRounds: Int = 1000): Int = {
+  final case class Round(pull: Boolean, active: Long, messages: Long, mirrorValues: Long, computeNs: Long)
+}
+
+object Pie {
+  /** Runs PEval, then IncEval rounds until one neither sends a message nor
+    * syncs mirrors, or `maxRounds` have run; each round is one parallel phase.
+    * Round r sends and publishes on buffer set r % 2, and reads the other;
+    * a fragment pair's channel is made on its first send.
+    */
+  def run(frags: Array[Fragment], program: PieProgram, maxRounds: Int = 1000): SuperstepStats = {
     val nF = frags.length
-    val chans = Array.fill(2)(
-      Array.tabulate(nF, nF)((_, dst) => new Channel(frags(dst).innerCount, program.combiner)))
+    val chans = Array.fill(2)(Array.ofDim[Channel](nF, nF)) // (parity)(src)(dst)
+    val mirrors = new Mirrors(frags)
     val ctxs = new Array[PieContext](nF)
+    val computeNs = new Array[Long](nF)
+    val messages = new Array[Long](nF)
+    val stats = new SuperstepStats
     var globalSum = 0.0
     def superstep(round: Int): Boolean = {
       val (out, in) = (chans(round & 1), chans((round + 1) & 1))
       Parallel.run(nF) { fid =>
+        val t0 = System.nanoTime()
         val f = frags(fid)
-        val ctx = new PieContext(fid, nF, f.blockSize, round, globalSum, out(fid), in)
+        val ctx = new PieContext(frags, fid, round, globalSum, program.combiner, out(fid), in, mirrors)
         ctxs(fid) = ctx
         if (f.innerCount == 0) () // more fragments than vertices: nothing to evaluate
         else if (round == 0) program.pEval(f, ctx) else program.incEval(f, ctx)
-        (0 until nF).foreach { g => in(g)(fid).reset(); out(fid)(g).seal() }
+        var sent = 0L
+        var g = 0
+        while (g < nF) {
+          val i = in(g)(fid)
+          if (i != null) i.reset()
+          val o = out(fid)(g)
+          if (o != null) { o.seal(); sent += o.messages }
+          g += 1
+        }
+        messages(fid) = sent
+        computeNs(fid) = System.nanoTime() - t0
       }
       globalSum = ctxs.foldLeft(0.0)(_ + _.partialSum)
-      out.exists(_.exists(_.messages > 0))
+      stats.add(SuperstepStats.Round(ctxs.exists(_.pulled), ctxs.map(_.active).sum, messages.sum,
+        ctxs.map(_.mirrorValues).sum, computeNs.max))
+      messages.sum > 0 || ctxs.exists(_.synced)
     }
     var active = superstep(0)
     var rounds = 0
     while (active && rounds < maxRounds) { rounds += 1; active = superstep(rounds) }
-    rounds
+    stats
   }
 }
 
@@ -142,6 +267,7 @@ final class WccPie(frags: Array[Fragment]) extends PieProgram {
         e += 1
       }
     }
+    ctx.markActive(work.size)
   }
 
   def pEval(frag: Fragment, ctx: PieContext): Unit = {
@@ -157,7 +283,7 @@ final class WccPie(frags: Array[Fragment]) extends PieProgram {
       var k = 0
       while (k < ch.messages) {
         val v = frag.globalOf(ch.index(k))
-        val l = ch(ch.index(k)).toInt
+        val l = ch.value(k).toInt
         if (labels(v) > l) { labels(v) = l; changed.add(v) }
         k += 1
       }
@@ -187,18 +313,27 @@ object Pregel {
   def run(frags: Array[Fragment], program: PregelProgram, maxSupersteps: Int = 100): Array[Double] = {
     val values = Array.tabulate(frags(0).nGlobal)(program.init)
     val comb = program.combiner
+    // each fragment folds its inbound messages into one inbox by inner index
+    val inbox = frags.map(f => Array.fill(f.innerCount)(comb.identity))
     Pie.run(frags, new PieProgram {
       val combiner: Combiner = comb
       def pEval(frag: Fragment, ctx: PieContext): Unit = incEval(frag, ctx)
       def incEval(frag: Fragment, ctx: PieContext): Unit = {
+        val msgs = inbox(frag.fid)
+        (0 until ctx.nFrags).foreach { sf =>
+          val ch = ctx.inbound(sf)
+          var k = 0
+          while (k < ch.messages) { val i = ch.index(k); msgs(i) = comb(msgs(i), ch.value(k)); k += 1 }
+        }
         var i = 0
         while (i < frag.innerCount) {
-          var msg = comb.identity
-          var sf = 0
-          while (sf < ctx.nFrags) { msg = comb(msg, ctx.inbound(sf)(i)); sf += 1 }
+          val msg = msgs(i)
           val v = frag.globalOf(i)
-          if (ctx.round == 0 || msg != comb.identity)
+          if (ctx.round == 0 || msg != comb.identity) {
+            msgs(i) = comb.identity
             values(v) = program.compute(ctx.round, frag, i, values(v), msg, ctx)
+            ctx.markActive(1)
+          }
           i += 1
         }
       }

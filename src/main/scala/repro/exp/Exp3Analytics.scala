@@ -15,7 +15,9 @@ object Exp3Analytics {
   val Engines = Seq("GRAPE", "PowerGraph", "Gemini", "Groute", "Gunrock")
 
   final case class Row(algo: String, graph: String, engine: String, ms: Double)
-  final case class Result(rows: Seq[Row], varintRatio: Double)
+  /** A GRAPE BFS's levels, and how many of them ran bottom-up. */
+  final case class BfsLevels(graph: String, levels: Int, bottomUp: Int)
+  final case class Result(rows: Seq[Row], varintRatio: Double, bfsLevels: Seq[BfsLevels])
 
   def run(spark: SparkSession, quick: Boolean = false): Result = {
     val graphAbbrs = if (quick) Seq("ZF-a") else Seq("FB-a", "G500-a", "TW-a", "UK-a")
@@ -23,6 +25,7 @@ object Exp3Analytics {
     val prIters = 10
     val reps = if (quick) 1 else 3
 
+    val bfsLevels = Seq.newBuilder[BfsLevels]
     val rows = graphAbbrs.flatMap { abbr =>
       val csr = Datasets.csr(spark, abbr)
       val frags = Fragment.partition(csr, nFrags)
@@ -46,13 +49,15 @@ object Exp3Analytics {
         Row("BFS", abbr, "Groute", Timing.bestOfMs(reps)(Baselines.GrouteSim.bfs(csr, src))),
         Row("BFS", abbr, "Gunrock", Timing.bestOfMs(reps)(Baselines.GunrockSim.bfs(csr, src))),
       )
+      val (dist, stats) = GrapeEngine.bfsWithStats(frags, src)
+      bfsLevels += BfsLevels(abbr, dist.max + 1, stats.pullRounds)
       pr ++ bfs
     }
 
     // §6's varint message-size claim, measured on a realistic message batch
     val vids = Array.tabulate(100000)(i => i * 5)
     val (varint, raw) = GrapeEngine.messageBytesVarint(vids, Array.fill(100000)(3L))
-    Result(rows, raw.toDouble / varint)
+    Result(rows, raw.toDouble / varint, bfsLevels.result())
   }
 
   def report(r: Result): String = {
@@ -80,6 +85,8 @@ object Exp3Analytics {
       val (m, mx) = agg(e)
       sb.append(f"  vs $e%-11s ${m}%5.1fx / ${mx}%5.1fx   (paper: $paper)\n")
     }
+    sb.append("\nGRAPE BFS levels run bottom-up (direction-optimizing): " +
+      r.bfsLevels.map(b => s"${b.graph} ${b.bottomUp} of ${b.levels}").mkString(", ") + "\n")
     sb.append(f"\nGRAPE varint message encoding: ${r.varintRatio}%.1fx smaller than raw records\n")
     sb.toString
   }

@@ -1,8 +1,10 @@
 package repro.analytics
 
-import repro.SparkSpec
+import org.apache.spark.sql.functions.col
+import repro.{Oracle, SparkSpec}
 import repro.analytics.grape._
 import repro.graph.{GraphGen, LocalCsr}
+import repro.storage.VineyardStore
 
 class GrapeSpec extends SparkSpec {
 
@@ -29,6 +31,103 @@ class GrapeSpec extends SparkSpec {
         val want = (csr.outOff(v) until csr.outOff(v + 1)).map(csr.outDst).sorted
         assert(got == want, s"$name vertex $v")
       }
+    }
+  }
+
+  test("fragment in-edges, mapped back through outer, are the CSR's in-edges") {
+    csrs.foreach { case (name, csr) =>
+      Seq(1, 3, 8).foreach { nF =>
+        Fragment.partition(csr, nF).foreach { f =>
+          val (lo, hi) = (f.globalOf(0), f.globalOf(f.innerCount))
+          def global(s: Int) = if (s < f.innerCount) lo + s else f.outer(s - f.innerCount)
+          val got = (0 until f.innerCount).flatMap { i =>
+            (f.inOff(i) until f.inOff(i + 1)).map(e => (lo + i, global(f.inSrc(e))))
+          }.sorted
+          val want = (lo until hi).flatMap(v => (csr.inOff(v) until csr.inOff(v + 1)).map(e => (v, csr.inSrc(e)))).sorted
+          assert(got == want, s"$name nFrags=$nF fragment ${f.fid}")
+          val outerWant = want.map(_._2).filter(s => s < lo || s >= hi).distinct.sorted
+          assert(f.outer.toSeq == outerWant, s"$name nFrags=$nF fragment ${f.fid}")
+          (0 until nF).foreach { g =>
+            assert((f.outerOff(g) until f.outerOff(g + 1)).forall(k => f.outer(k) / f.blockSize == g))
+          }
+        }
+      }
+    }
+  }
+
+  test("partition and fromGrin over Vineyard give identical fragments") {
+    csrs.foreach { case (name, csr) =>
+      val vineyard = new VineyardStore(csr, new Array[Int](csr.n), Array("V"), Map.empty,
+        new Array[Int](csr.m), Array("E"), new Array[Long](csr.m), Array.fill(csr.m)(1.0))
+      Seq(1, 3, 8).foreach { nF =>
+        Fragment.partition(csr, nF).zip(Fragment.fromGrin(vineyard, nF)).foreach { case (a, b) =>
+          val clue = s"$name nFrags=$nF fragment ${a.fid}"
+          assert(a.innerCount == b.innerCount && a.edgeCount == b.edgeCount, clue)
+          (0 until a.innerCount).foreach { i =>
+            assert(a.dst.slice(a.off(i), a.off(i + 1)).toSeq == b.dst.slice(b.off(i), b.off(i + 1)).toSeq, clue)
+          }
+          assert(a.inOff.toSeq == b.inOff.toSeq && a.inSrc.toSeq == b.inSrc.toSeq, clue)
+          assert(a.outer.toSeq == b.outer.toSeq, clue)
+        }
+      }
+    }
+  }
+
+  test("grape BFS goes bottom-up on the RMAT graph and matches the reference") {
+    val src = (0 until rmatCsr.n).maxBy(rmatCsr.outDegree)
+    Seq(1, 2, 8).foreach { nF =>
+      val (dist, stats) = GrapeEngine.bfsWithStats(Fragment.partition(rmatCsr, nF), src)
+      assert(stats.pullRounds >= 1, s"nFrags=$nF: no bottom-up level in ${stats.byRound}")
+      assert(dist.toSeq == Reference.bfs(rmatCsr, src).toSeq, s"nFrags=$nF")
+    }
+  }
+
+  test("grape BFS follows edge direction when it goes bottom-up") {
+    // hub 0 -> 1..200, a one-way chain 200 -> 201 -> ... -> 260, and edges
+    // into the reached part from vertices the hub cannot reach: 301..400 -> 0
+    // and the chain 461 -> ... -> 500 -> 1. A bottom-up step that read
+    // out-edges would settle those.
+    val edges = (1 to 200).map(0 -> _) ++ (200 until 260).map(v => v -> (v + 1)) ++
+      (301 to 400).map(_ -> 0) ++ (461 until 500).map(v => v -> (v + 1)) ++ Seq(500 -> 1)
+    val csr = LocalCsr.build(edges.map(_._1.toLong).toArray, edges.map(_._2.toLong).toArray)
+    Seq(0L, 461L, 200L).foreach { ext =>
+      val src = csr.idMap.get(ext)
+      Seq(1, 2, 3).foreach { nF =>
+        val (dist, stats) = GrapeEngine.bfsWithStats(Fragment.partition(csr, nF), src)
+        if (ext == 0L) assert(stats.pullRounds >= 1, s"nFrags=$nF: no bottom-up level")
+        assert(dist.toSeq == Reference.bfs(csr, src).toSeq, s"source $ext nFrags=$nF")
+      }
+    }
+  }
+
+  test("grape BFS matches DuckDB recursive CTE") {
+    val edges = GraphGen.simplify(GraphGen.rmat(spark, scale = 8, edges = 1200, seed = 41)).cache()
+    val csr = LocalCsr.fromDataFrame(edges)
+    val src = (0 until csr.n).maxBy(csr.outDegree)
+    import spark.implicits._
+    Seq(1, 2, 8).foreach { nF =>
+      val dist = GrapeEngine.bfs(Fragment.partition(csr, nF), src)
+      val got = dist.indices.filter(dist(_) >= 0).map(v => (csr.extIds(v), dist(v).toLong)).toDF("id", "dist")
+        .select(col("id"), col("dist"))
+      Oracle.assertEquivalent(got,
+        s"""WITH RECURSIVE r(id, dist) AS (
+              SELECT CAST(${csr.extIds(src)} AS BIGINT), CAST(0 AS BIGINT)
+              UNION
+              SELECT CAST(e.dst AS BIGINT), r.dist + 1
+              FROM r JOIN e ON CAST(e.src AS BIGINT) = r.id
+              WHERE r.dist < 50
+            )
+            SELECT id, min(dist) AS dist FROM r GROUP BY id""",
+        "e" -> edges)
+    }
+  }
+
+  test("grape BFS matches the sequential reference on a high-diameter graph") {
+    val grid = LocalCsr.fromDataFrame(GraphGen.highDiameter(spark, side = 10, shortcutFrac = 0.0))
+    val src = grid.idMap.get(0L)
+    Seq(1, 2, 8).foreach { nF =>
+      assert(GrapeEngine.bfs(Fragment.partition(grid, nF), src).toSeq == Reference.bfs(grid, src).toSeq,
+        s"nFrags=$nF")
     }
   }
 
@@ -181,7 +280,7 @@ class GrapeSpec extends SparkSpec {
   private def wcc(sym: LocalCsr, nF: Int): (Array[Int], Int) = {
     val frags = Fragment.partition(sym, nF)
     val pie = new WccPie(frags)
-    val rounds = Pie.run(frags, pie)
+    val rounds = Pie.run(frags, pie).rounds
     (pie.labels, rounds)
   }
 
