@@ -3,7 +3,7 @@ package repro.analytics
 import repro.graph.LocalCsr
 
 /** Sequential golden implementations used to verify every engine
-  * (GRAPE-sim, the four baseline sims, PregelDF) — independent code paths,
+  * (GRAPE-sim, the four baseline sims, the GRIN algorithms) — independent code paths,
   * no shared machinery with the engines under test.
   */
 object Reference {

@@ -35,7 +35,6 @@ object GrapeEngine {
       ctx.syncMirrors()
     }
     Pie.run(frags, new PieProgram {
-      val combiner: Combiner = Combiner.Sum
       def pEval(f: Fragment, ctx: PieContext): Unit = if (iters > 0) scatter(f, ctx)
       def incEval(f: Fragment, ctx: PieContext): Unit = {
         val lo = f.globalOf(0)
@@ -78,7 +77,6 @@ object GrapeEngine {
     // made by each fragment's own thread, so no two threads write one cache line
     val state = new Array[BfsFragment](frags.length)
     val stats = Pie.run(frags, new PieProgram {
-      val combiner: Combiner = Combiner.Min
       def pEval(f: Fragment, ctx: PieContext): Unit = {
         val s = new BfsFragment(f, dist)
         state(f.fid) = s

@@ -12,83 +12,73 @@ import repro.util.Parallel
 // PIE — PEval / IncEval over fragments (GRAPE's native model)
 // ---------------------------------------------------------------------------
 
-/** How a channel folds the messages one vertex receives in a round. */
-sealed abstract class Combiner(val identity: Double) {
-  def apply(a: Double, b: Double): Double
-  private[grape] def channel(size: Int): Channel
-}
-
-object Combiner {
-  case object Sum extends Combiner(0.0) {
-    def apply(a: Double, b: Double): Double = a + b
-    private[grape] def channel(size: Int): Channel = new SumChannel(size)
-  }
-  case object Min extends Combiner(Double.PositiveInfinity) {
-    def apply(a: Double, b: Double): Double = if (b < a) b else a
-    private[grape] def channel(size: Int): Channel = new MinChannel(size)
-  }
-}
-
 /** One round's messages from one fragment to another (§6's "continuous
-  * compact buffer"): the folded value per destination inner vertex, and the
-  * indices messaged. There is one subclass per combiner, so a send never
-  * dispatches on the combiner.
+  * compact buffer"): the least value sent to each destination inner vertex,
+  * and the indices messaged. A bitmap marks the messaged indices, so the
+  * values need no fill; an index is listed on its first send.
   */
-sealed abstract class Channel(size: Int) {
-  protected final val vals = new Array[Double](size)
-  protected final val listed = new IntBuf
-
-  def send(inner: Int, msg: Double): Unit
-  /** Number of distinct vertices messaged. */
-  final def messages: Int = listed.size
-  /** The `k`-th messaged inner index. */
-  @inline final def index(k: Int): Int = listed(k)
-  /** The folded message to the `k`-th messaged inner index. */
-  @inline final def value(k: Int): Double = vals(listed(k))
-
-  private[grape] def seal(): Unit
-  /** Forgets the round's messages, restoring the messaged entries. */
-  private[grape] def reset(): Unit
-}
-
-object Channel {
-  /** The inbound channel of a pair that never sent. */
-  private[grape] val Empty: Channel = new SumChannel(0)
-}
-
-/** Sum: the zeroed array is the identity, so a send is one add and the seal
-  * lists the messaged indices in one scan (Sum messages must be non-zero).
-  */
-final class SumChannel(size: Int) extends Channel(size) {
-  @inline def send(inner: Int, msg: Double): Unit = vals(inner) += msg
-  private[grape] def seal(): Unit = {
-    var i = 0
-    while (i < size) { if (vals(i) != 0.0) listed.add(i); i += 1 }
-  }
-  private[grape] def reset(): Unit = {
-    var k = 0
-    while (k < listed.size) { vals(listed(k)) = 0.0; k += 1 }
-    listed.clear()
-  }
-}
-
-/** Min: a bitmap marks the messaged indices, so the values need no fill;
-  * an index is listed on its first send.
-  */
-final class MinChannel(size: Int) extends Channel(size) {
+final class MinChannel(size: Int) {
+  private val vals = new Array[Double](size)
+  private val listed = new IntBuf
   private val marked = new Array[Long]((size + 63) >>> 6)
+
   @inline def send(inner: Int, msg: Double): Unit = {
     val w = inner >>> 6
     val bit = 1L << inner
     if ((marked(w) & bit) == 0) { marked(w) |= bit; listed.add(inner); vals(inner) = msg }
     else if (msg < vals(inner)) vals(inner) = msg
   }
-  private[grape] def seal(): Unit = ()
+  /** Number of distinct vertices messaged. */
+  def messages: Int = listed.size
+  /** The `k`-th messaged inner index. */
+  @inline def index(k: Int): Int = listed(k)
+  /** The least message to the `k`-th messaged inner index. */
+  @inline def value(k: Int): Double = vals(listed(k))
+
+  /** Forgets the round's messages, clearing the messaged marks. */
   private[grape] def reset(): Unit = {
     var k = 0
     while (k < listed.size) { marked(listed(k) >>> 6) = 0L; k += 1 }
     listed.clear()
   }
+}
+
+object MinChannel {
+  /** The inbound channel of a pair that never sent. */
+  private[grape] val Empty = new MinChannel(0)
+}
+
+/** One round's keyed messages from one fragment to another: §6's compact
+  * buffer with a key column, as parallel primitive buffers of (destination
+  * inner index, key, value) in send order. Messages to one (index, key) add
+  * up; the receiver folds them, so a send is one append.
+  */
+final class KeyedChannel {
+  private var idx = new Array[Int](16)
+  private var keys = new Array[Int](16)
+  private var vals = new Array[Double](16)
+  private var n = 0
+
+  def send(inner: Int, key: Int, msg: Double): Unit = {
+    if (n == idx.length) {
+      idx = java.util.Arrays.copyOf(idx, n * 2)
+      keys = java.util.Arrays.copyOf(keys, n * 2)
+      vals = java.util.Arrays.copyOf(vals, n * 2)
+    }
+    idx(n) = inner; keys(n) = key; vals(n) = msg
+    n += 1
+  }
+  /** Number of messages sent. */
+  def messages: Int = n
+  @inline def index(k: Int): Int = idx(k)
+  @inline def key(k: Int): Int = keys(k)
+  @inline def value(k: Int): Double = vals(k)
+  private[grape] def reset(): Unit = n = 0
+}
+
+object KeyedChannel {
+  /** The inbound keyed channel of a pair that never sent one. */
+  private[grape] val Empty = new KeyedChannel
 }
 
 /** The vertex values behind the mirror sync: per round parity and fragment,
@@ -102,13 +92,14 @@ private[grape] final class Mirrors(frags: Array[Fragment]) {
 
 /** Fragment `fid`'s view of one round: `round` is 0 in PEval, then 1, 2, …;
   * `globalSum` adds up all fragments' [[aggregate]] calls of the last round.
-  * Besides messages ([[send]] / [[inbound]]), a round can publish vertex
+  * Besides min-folded messages ([[send]] / [[inbound]]) and keyed, summed
+  * ones ([[sendKeyed]] / [[inboundKeyed]]), a round can publish vertex
   * values to the fragments that mirror them ([[publish]], [[syncMirrors]])
   * and pull what the last round published ([[pull]]).
   */
 final class PieContext private[grape] (frags: Array[Fragment], val fid: Int, val round: Int,
-    val globalSum: Double, combiner: Combiner, out: Array[Channel], in: Array[Array[Channel]],
-    mirrors: Mirrors) {
+    val globalSum: Double, out: Array[MinChannel], in: Array[Array[MinChannel]],
+    keyedOut: Array[KeyedChannel], keyedIn: Array[Array[KeyedChannel]], mirrors: Mirrors) {
   val nFrags: Int = frags.length
   val blockSize: Int = frags(fid).blockSize
   private[grape] var partialSum = 0.0
@@ -120,14 +111,35 @@ final class PieContext private[grape] (frags: Array[Fragment], val fid: Int, val
   @inline def send(globalVid: Int, msg: Double): Unit = {
     val owner = globalVid / blockSize
     var ch = out(owner)
-    if (ch == null) { ch = combiner.channel(frags(owner).innerCount); out(owner) = ch }
+    if (ch == null) ch = open(owner)
     ch.send(globalVid - owner * blockSize, msg)
+  }
+  // Kept out of `send` so that the JIT inlines `send` whole into the
+  // programs' edge loops; with the allocation inside, it did not.
+  private def open(owner: Int): MinChannel = {
+    val ch = new MinChannel(frags(owner).innerCount)
+    out(owner) = ch
+    ch
+  }
+  /** Sends `msg` under `key` to `globalVid`; the owner's [[inboundKeyed]]
+    * sees it next round.
+    */
+  def sendKeyed(globalVid: Int, key: Int, msg: Double): Unit = {
+    val owner = globalVid / blockSize
+    var ch = keyedOut(owner)
+    if (ch == null) { ch = new KeyedChannel; keyedOut(owner) = ch }
+    ch.send(globalVid - owner * blockSize, key, msg)
   }
   def aggregate(x: Double): Unit = partialSum += x
   /** What fragment `srcFid` sent to this one in the previous round. */
-  def inbound(srcFid: Int): Channel = {
+  def inbound(srcFid: Int): MinChannel = {
     val ch = in(srcFid)(fid)
-    if (ch == null) Channel.Empty else ch
+    if (ch == null) MinChannel.Empty else ch
+  }
+  /** What fragment `srcFid` sent to this one with keys in the previous round. */
+  def inboundKeyed(srcFid: Int): KeyedChannel = {
+    val ch = keyedIn(srcFid)(fid)
+    if (ch == null) KeyedChannel.Empty else ch
   }
   /** Counts vertices this round computed on, for [[SuperstepStats]]. */
   def markActive(count: Int): Unit = active += count
@@ -165,7 +177,6 @@ final class PieContext private[grape] (frags: Array[Fragment], val fid: Int, val
 }
 
 trait PieProgram {
-  def combiner: Combiner
   /** Partial evaluation: run the (sequential) algorithm on the local
     * fragment to a local fixpoint, emitting boundary messages.
     */
@@ -197,11 +208,13 @@ object Pie {
   /** Runs PEval, then IncEval rounds until one neither sends a message nor
     * syncs mirrors, or `maxRounds` have run; each round is one parallel phase.
     * Round r sends and publishes on buffer set r % 2, and reads the other;
-    * a fragment pair's channel is made on its first send.
+    * a fragment pair's channel, and its keyed channel, is made on its first
+    * send of that kind.
     */
   def run(frags: Array[Fragment], program: PieProgram, maxRounds: Int = 1000): SuperstepStats = {
     val nF = frags.length
-    val chans = Array.fill(2)(Array.ofDim[Channel](nF, nF)) // (parity)(src)(dst)
+    val chans = Array.fill(2)(Array.ofDim[MinChannel](nF, nF)) // (parity)(src)(dst)
+    val keyed = Array.fill(2)(Array.ofDim[KeyedChannel](nF, nF))
     val mirrors = new Mirrors(frags)
     val ctxs = new Array[PieContext](nF)
     val computeNs = new Array[Long](nF)
@@ -210,10 +223,11 @@ object Pie {
     var globalSum = 0.0
     def superstep(round: Int): Boolean = {
       val (out, in) = (chans(round & 1), chans((round + 1) & 1))
+      val (keyedOut, keyedIn) = (keyed(round & 1), keyed((round + 1) & 1))
       Parallel.run(nF) { fid =>
         val t0 = System.nanoTime()
         val f = frags(fid)
-        val ctx = new PieContext(frags, fid, round, globalSum, program.combiner, out(fid), in, mirrors)
+        val ctx = new PieContext(frags, fid, round, globalSum, out(fid), in, keyedOut(fid), keyedIn, mirrors)
         ctxs(fid) = ctx
         if (f.innerCount == 0) () // more fragments than vertices: nothing to evaluate
         else if (round == 0) program.pEval(f, ctx) else program.incEval(f, ctx)
@@ -222,8 +236,12 @@ object Pie {
         while (g < nF) {
           val i = in(g)(fid)
           if (i != null) i.reset()
+          val ki = keyedIn(g)(fid)
+          if (ki != null) ki.reset()
           val o = out(fid)(g)
-          if (o != null) { o.seal(); sent += o.messages }
+          if (o != null) sent += o.messages
+          val ko = keyedOut(fid)(g)
+          if (ko != null) sent += ko.messages
           g += 1
         }
         messages(fid) = sent
@@ -247,7 +265,6 @@ object Pie {
   * what remote updates disturb. Run on a symmetrized graph.
   */
 final class WccPie(frags: Array[Fragment]) extends PieProgram {
-  val combiner: Combiner = Combiner.Min
   /** Component label (the least vertex id reached) by global id. */
   val labels: Array[Int] = Array.range(0, frags(0).nGlobal)
 
@@ -297,10 +314,9 @@ final class WccPie(frags: Array[Fragment]) extends PieProgram {
 // ---------------------------------------------------------------------------
 
 trait PregelProgram {
-  def combiner: Combiner
   def init(globalVid: Int): Double
-  /** Runs at superstep 0 on every vertex (`msg` = the identity), then on
-    * each vertex messaged, with its messages folded; returns the new value.
+  /** Runs at superstep 0 on every vertex (`msg` = +∞), then on each vertex
+    * messaged, with its messages folded by min; returns the new value.
     */
   def compute(superstep: Int, frag: Fragment, inner: Int, value: Double,
               msg: Double, ctx: PieContext): Double
@@ -312,25 +328,24 @@ object Pregel {
     */
   def run(frags: Array[Fragment], program: PregelProgram, maxSupersteps: Int = 100): Array[Double] = {
     val values = Array.tabulate(frags(0).nGlobal)(program.init)
-    val comb = program.combiner
+    val none = Double.PositiveInfinity
     // each fragment folds its inbound messages into one inbox by inner index
-    val inbox = frags.map(f => Array.fill(f.innerCount)(comb.identity))
+    val inbox = frags.map(f => Array.fill(f.innerCount)(none))
     Pie.run(frags, new PieProgram {
-      val combiner: Combiner = comb
       def pEval(frag: Fragment, ctx: PieContext): Unit = incEval(frag, ctx)
       def incEval(frag: Fragment, ctx: PieContext): Unit = {
         val msgs = inbox(frag.fid)
         (0 until ctx.nFrags).foreach { sf =>
           val ch = ctx.inbound(sf)
           var k = 0
-          while (k < ch.messages) { val i = ch.index(k); msgs(i) = comb(msgs(i), ch.value(k)); k += 1 }
+          while (k < ch.messages) { val i = ch.index(k); msgs(i) = math.min(msgs(i), ch.value(k)); k += 1 }
         }
         var i = 0
         while (i < frag.innerCount) {
           val msg = msgs(i)
           val v = frag.globalOf(i)
-          if (ctx.round == 0 || msg != comb.identity) {
-            msgs(i) = comb.identity
+          if (ctx.round == 0 || msg != none) {
+            msgs(i) = none
             values(v) = program.compute(ctx.round, frag, i, values(v), msg, ctx)
             ctx.markActive(1)
           }
@@ -344,7 +359,6 @@ object Pregel {
 
 /** SSSP in the Pregel model: weighted relaxation, offers folded by min. */
 final class SsspPregel(source: Int) extends PregelProgram {
-  val combiner: Combiner = Combiner.Min
   def init(v: Int): Double = if (v == source) 0.0 else Double.PositiveInfinity
   def compute(step: Int, frag: Fragment, i: Int, dist: Double,
               msg: Double, ctx: PieContext): Double = {

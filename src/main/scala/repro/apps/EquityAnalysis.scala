@@ -2,6 +2,8 @@ package repro.apps
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.analytics.grape.{Fragment, KeyedChannel, Pie, PieContext, PieProgram}
+import repro.graph.LocalCsr
 
 /** Equity analysis (paper §8, Fig. 6b; Exp-6): find each company's real
   * controller — the shareholder whose *effective* (transitively multiplied)
@@ -9,8 +11,8 @@ import org.apache.spark.sql.functions._
   *
   * Two implementations, exactly as the paper contrasts them:
   *  - [[effectiveShares]]: the graph deployment — a modified label/weight
-  *    propagation written against the DataFrame "GraphX API" path,
-  *    aggregating per (person, company) every iteration, so intermediate
+  *    propagation run as a PIE program on GRAPE ([[propagate]]), summing
+  *    each level per (person, company) before the next hop, so intermediate
   *    size stays bounded by #pairs.
   *  - [[effectiveSharesSql]]: the SQL baseline — relational path
   *    enumeration via iterated self-joins with aggregation only at the end;
@@ -49,36 +51,123 @@ object EquityAnalysis {
     }.toDF("owner", "company", "share")
   }
 
-  private def isPerson(c: org.apache.spark.sql.Column) = c < CompanyBase
+  /** Sparse (person → share) vectors, one per company, in CSR form: company
+    * `v`'s entries are `off(v) until off(v + 1)`, persons by their key.
+    */
+  final class Shares(val off: Array[Int], val person: Array[Int], val share: Array[Double])
 
-  /** Graph path: level-synchronous propagation that *aggregates each level
-    * to (person, company) pairs* before the next hop — the "modified label
-    * propagation" of §8. Intermediate size stays bounded by the number of
-    * pairs, no matter how many ownership paths exist. Returns
-    * (person, company, share).
+  /** The ownership graph as GRAPE reads it. The companies are the vertices
+    * of `csr`; its edges run from owner company to owned company, with the
+    * share in `weights` (CSR order). `direct` holds the direct holdings as
+    * (company, person, share), a person keyed by its index in `persons`.
+    */
+  final class Ownership(val csr: LocalCsr, val weights: Array[Double],
+                        val persons: Array[Long], val direct: KeyedChannel) {
+    /** `eff` as (person, company, share) columns. */
+    def columns(eff: Shares): (Array[Long], Array[Long], Array[Double]) = {
+      val company = new Array[Long](eff.off(csr.n))
+      (0 until csr.n).foreach(v => java.util.Arrays.fill(company, eff.off(v), eff.off(v + 1), csr.extIds(v)))
+      (eff.person.take(company.length).map(p => persons(p)), company, eff.share.take(company.length))
+    }
+  }
+
+  /** Builds the [[Ownership]] of (owner, company, share) rows. */
+  def ownership(rows: Array[(Long, Long, Double)]): Ownership = {
+    val (corp, held) = rows.partition(_._1 >= CompanyBase)
+    val csr = LocalCsr.build(corp.map(_._1), corp.map(_._2), rows.map(_._2))
+    // the shares in CSR order: the same fill walk as LocalCsr.build
+    val weights = new Array[Double](corp.length)
+    val pos = java.util.Arrays.copyOf(csr.outOff, csr.n)
+    corp.foreach { case (owner, _, share) =>
+      val v = csr.idMap.get(owner)
+      weights(pos(v)) = share
+      pos(v) += 1
+    }
+    val persons = held.map(_._1).distinct.sorted
+    val direct = new KeyedChannel
+    held.foreach { case (p, company, share) =>
+      direct.send(csr.idMap.get(company), java.util.Arrays.binarySearch(persons, p), share)
+    }
+    new Ownership(csr, weights, persons, direct)
+  }
+
+  /** Effective shares as a PIE program on [[Pie.run]], over fragments of
+    * `own.csr` weighted by `own.weights`. Level 0 is each company's direct
+    * holdings. PEval sends level 1 along the out-edges, each entry times the
+    * edge's share, as keyed messages (company, person) → share. IncEval
+    * round r sums the level-r messages per (company, person), adds them to
+    * the result, and sends level r + 1 while r < `maxDepth`: the same hop
+    * cap as [[effectiveSharesSql]]. Nothing assumes owners have lower ids.
+    * Returns the summed levels by company.
+    */
+  def propagate(frags: Array[Fragment], own: Ownership, maxDepth: Int = 12): Shares = {
+    val state = new Array[EquityFragment](frags.length)
+    Pie.run(frags, new PieProgram {
+      def pEval(f: Fragment, ctx: PieContext): Unit = {
+        state(f.fid) = new EquityFragment(f, own.persons.length, maxDepth)
+        state(f.fid).start(own.direct, ctx)
+      }
+      def incEval(f: Fragment, ctx: PieContext): Unit = state(f.fid).step(ctx)
+    }, maxRounds = maxDepth)
+    fold(state.filter(_ != null).map(_.levels), frags(0).nGlobal, Array.fill(own.persons.length)(-1))
+  }
+
+  /** Sums `parts`' messages per (index, person) into one vector per index
+    * below `n`: a counting sort by index, then one pass per index that keeps
+    * each person's first entry and adds the rest into it, in place. `slot`
+    * is scratch by person, -1 on entry and on return.
+    */
+  private[apps] def fold(parts: Array[KeyedChannel], n: Int, slot: Array[Int]): Shares = {
+    val off = new Array[Int](n + 1)
+    parts.foreach { ch =>
+      var k = 0
+      while (k < ch.messages) { off(ch.index(k) + 1) += 1; k += 1 }
+    }
+    (0 until n).foreach(i => off(i + 1) += off(i))
+    val person = new Array[Int](off(n))
+    val share = new Array[Double](off(n))
+    val next = java.util.Arrays.copyOf(off, n)
+    parts.foreach { ch =>
+      var k = 0
+      while (k < ch.messages) {
+        val p = next(ch.index(k))
+        person(p) = ch.key(k)
+        share(p) = ch.value(k)
+        next(ch.index(k)) = p + 1
+        k += 1
+      }
+    }
+    var (e, w) = (0, 0)
+    var i = 0
+    while (i < n) {
+      val first = w
+      while (e < off(i + 1)) {
+        val s = slot(person(e))
+        if (s >= 0) share(s) += share(e)
+        else { slot(person(e)) = w; person(w) = person(e); share(w) = share(e); w += 1 }
+        e += 1
+      }
+      (first until w).foreach(k => slot(person(k)) = -1)
+      off(i + 1) = w
+      i += 1
+    }
+    new Shares(off, person, share)
+  }
+
+  /** Graph path: collects the ownership rows, cuts them into one fragment
+    * per core and runs [[propagate]] — the "modified label propagation" of
+    * §8. Returns (person, company, share).
     */
   def effectiveShares(spark: SparkSession, owns: DataFrame, maxDepth: Int = 12): DataFrame = {
-    val o = owns.cache()
-    val direct = o.filter(isPerson(col("owner")))
-      .select(col("owner").as("person"), col("company"), col("share"))
-    val corp = o.filter(!isPerson(col("owner")))
-      .select(col("owner").as("mid"), col("company").as("c2"), col("share").as("s2"))
-
-    var level = direct
-    var acc = direct
-    var depth = 0
-    var levelCount = level.count()
-    while (depth < maxDepth && levelCount > 0) {
-      // one hop up the ownership chains, aggregated per (person, company)
-      level = level.join(corp, col("company") === col("mid"))
-        .select(col("person"), col("c2").as("company"), (col("share") * col("s2")).as("share"))
-        .groupBy("person", "company").agg(sum("share").as("share"))
-      level = level.localCheckpoint(true)
-      levelCount = level.count()
-      if (levelCount > 0) acc = acc.union(level)
-      depth += 1
-    }
-    acc.groupBy("person", "company").agg(sum("share").as("share"))
+    import spark.implicits._
+    val own = ownership(owns.select("owner", "company", "share").collect()
+      .map(r => (r.getLong(0), r.getLong(1), r.getDouble(2))))
+    val frags = Fragment.partition(own.csr, Runtime.getRuntime.availableProcessors(), own.weights)
+    val (person, company, share) = own.columns(propagate(frags, own, maxDepth))
+    // the columns travel in the task closure, as primitive arrays
+    spark.range(0, person.length, 1, spark.sparkContext.defaultParallelism)
+      .map(i => (person(i.toInt), company(i.toInt), share(i.toInt)))
+      .toDF("person", "company", "share")
   }
 
   /** SQL baseline: enumerate ownership paths (no intermediate aggregation),
@@ -110,4 +199,48 @@ object EquityAnalysis {
   def controllers(eff: DataFrame, cut: Double = 0.5): DataFrame =
     eff.filter(col("share") > cut)
       .select(col("company"), col("person").as("controller"), col("share"))
+}
+
+/** One fragment's side of [[EquityAnalysis.propagate]]: the levels it
+  * received, and the sends of the next.
+  */
+private final class EquityFragment(f: Fragment, nPersons: Int, maxDepth: Int) {
+  private val lo = f.globalOf(0)
+  /** Every level's (company, person, share) by global id, level 0 first. */
+  val levels = new KeyedChannel
+  private val slot = Array.fill(nPersons)(-1)
+
+  /** PEval: records this fragment's direct holdings and sends level 1. */
+  def start(direct: KeyedChannel, ctx: PieContext): Unit = {
+    ctx.markActive(f.innerCount)
+    var k = 0
+    while (k < direct.messages) {
+      val i = direct.index(k) - lo
+      if (i >= 0 && i < f.innerCount) hold(i, direct.key(k), direct.value(k), ctx)
+      k += 1
+    }
+  }
+
+  /** IncEval: sums the arriving level, records it, and sends the next. */
+  def step(ctx: PieContext): Unit = {
+    val level = EquityAnalysis.fold(Array.tabulate(ctx.nFrags)(ctx.inboundKeyed), f.innerCount, slot)
+    var i = 0
+    while (i < f.innerCount) {
+      var k = level.off(i)
+      if (k < level.off(i + 1)) ctx.markActive(1)
+      while (k < level.off(i + 1)) { hold(i, level.person(k), level.share(k), ctx); k += 1 }
+      i += 1
+    }
+  }
+
+  /** Records that inner company `i` holds `share` of person `p` at this
+    * round's level and, below `maxDepth`, offers it along `i`'s out-edges.
+    */
+  private def hold(i: Int, p: Int, share: Double, ctx: PieContext): Unit = {
+    levels.send(lo + i, p, share)
+    if (ctx.round < maxDepth) {
+      var e = f.off(i)
+      while (e < f.off(i + 1)) { ctx.sendKeyed(f.dst(e), p, share * f.weight(e)); e += 1 }
+    }
+  }
 }

@@ -42,7 +42,7 @@ object Exp6Equity {
   def report(r: Result): String =
     "== Exp-6: equity analysis, graph propagation vs SQL baseline ==\n" +
       Timing.table(Seq("approach", "runtime", "result rows"),
-        Seq(Seq("graph (PregelDF 'GraphX API')", Timing.fmt(r.graphMs), r.pairs.toString),
+        Seq(Seq("graph (GRAPE PIE)", Timing.fmt(r.graphMs), r.pairs.toString),
           Seq("SQL (path-enumeration joins)", Timing.fmt(r.sqlMs), r.sqlPaths.toString))) +
       f"\n   speedup ${r.sqlMs / r.graphMs}%.2fx; majority controllers found: ${r.controllers}\n" +
       "   paper: graph = 15 min on the full 1.5B-edge graph; SQL > 1 h on a subset\n"

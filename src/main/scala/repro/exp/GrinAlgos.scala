@@ -52,30 +52,4 @@ object GrinAlgos {
     }
     (acc, m)
   }
-
-  /** BFS through GRIN cursors. */
-  def bfs(g: GrinGraph, source: Int): Array[Int] = {
-    val n = g.vertexCount
-    val dist = Array.fill(n)(-1)
-    dist(source) = 0
-    var frontier = new repro.analytics.grape.IntBuf
-    frontier.add(source)
-    val c = g.newCursor(Direction.Out)
-    var level = 0
-    while (frontier.size > 0) {
-      val next = new repro.analytics.grape.IntBuf
-      var k = 0
-      while (k < frontier.size) {
-        val cur = c.seek(frontier(k))
-        while (cur.moveNext()) {
-          val u = cur.neighbor
-          if (dist(u) < 0) { dist(u) = level + 1; next.add(u) }
-        }
-        k += 1
-      }
-      frontier = next
-      level += 1
-    }
-    dist
-  }
 }

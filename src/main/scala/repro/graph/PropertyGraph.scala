@@ -18,12 +18,6 @@ final case class PropertyGraph(vertices: DataFrame, edges: DataFrame) {
   def vertexCount: Long = vertices.count()
   def edgeCount: Long = edges.count()
 
-  /** Vertices carrying a given label. */
-  def verticesOf(label: String): DataFrame = vertices.filter(col("label") === label)
-
-  /** Edges carrying a given label. */
-  def edgesOf(label: String): DataFrame = edges.filter(col("label") === label)
-
   /** Out-degree per vertex id (vertices with no out-edges are absent). */
   def outDegrees: DataFrame =
     edges.groupBy(col("src").as("id")).agg(count(lit(1)).as("degree"))

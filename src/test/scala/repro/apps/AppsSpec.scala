@@ -1,7 +1,9 @@
 package repro.apps
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
+import repro.analytics.grape.Fragment
 import repro.graph.SnbData
 import repro.query._
 import repro.storage.{GartStore, VineyardStore}
@@ -122,6 +124,62 @@ class AppsSpec extends SparkSpec {
     val cControl = eff((2L, cb + 1))
     assert(math.abs(cControl - (0.8 * 0.6 + 0.84 * 0.2)) < 1e-9)
     assert(cControl > 0.5, "Person C controls Company 1")
+  }
+
+  /** GRAPE's effective shares over `nF` fragments, as (person, company, share) rows. */
+  private def grapeShares(owns: DataFrame, nF: Int): Seq[(Long, Long, Double)] = {
+    val own = EquityAnalysis.ownership(owns.select("owner", "company", "share").collect()
+      .map(r => (r.getLong(0), r.getLong(1), r.getDouble(2))))
+    val (p, c, s) = own.columns(EquityAnalysis.propagate(Fragment.partition(own.csr, nF, own.weights), own))
+    p.indices.map(k => (p(k), c(k), s(k)))
+  }
+
+  private def sqlShares(owns: DataFrame): Map[(Long, Long), Double] =
+    EquityAnalysis.effectiveSharesSql(spark, owns).collect()
+      .map(r => (r.getLong(0), r.getLong(1)) -> r.getDouble(2)).toMap
+
+  private def assertShares(got: Seq[(Long, Long, Double)], want: Map[(Long, Long), Double],
+                           clue: String): Unit = {
+    assert(got.map(r => (r._1, r._2)).toSet == want.keySet, clue)
+    assert(got.size == want.size, s"$clue: a pair listed twice")
+    got.foreach { case (p, c, s) => assert(math.abs(s - want((p, c))) < 1e-9, s"$clue pair ($p, $c)") }
+  }
+
+  test("equity: GRAPE propagation equals the SQL baseline on 1, 2 and 8 fragments, run after run") {
+    val owns = EquityAnalysis.equityGraph(spark, nCompanies = 80, nPersons = 40).cache()
+    val want = sqlShares(owns)
+    Seq(1, 2, 8).foreach { nF =>
+      val got = grapeShares(owns, nF)
+      assertShares(got, want, s"nFrags=$nF")
+      assert(grapeShares(owns, nF) == got, s"nFrags=$nF: a second run differs")
+    }
+  }
+
+  test("equity: a 15-company chain stops 12 hops below the person on both paths") {
+    import spark.implicits._
+    val cb = EquityAnalysis.CompanyBase
+    // the person owns cb+14 outright and cb+k owns half of cb+k-1, so
+    // company cb+14-h is h hops below the person, and owners have higher ids
+    val owns = ((1L, cb + 14, 1.0) +: (1 to 14).map(k => (cb + k, cb + k - 1, 0.5)))
+      .toDF("owner", "company", "share")
+    val want = (0 to 12).map(h => (1L, cb + 14 - h) -> math.pow(0.5, h)).toMap
+    assert(sqlShares(owns) == want)
+    Seq(1, 4).foreach(nF => assertShares(grapeShares(owns, nF), want, s"nFrags=$nF"))
+  }
+
+  test("equity: owners in later fragments than the companies they own (Fig. 6b)") {
+    import spark.implicits._
+    val cb = EquityAnalysis.CompanyBase
+    // companies cb+1..cb+3 are dense ids 0..2, one per fragment, so cb+2 and
+    // cb+3 message cb+1 backwards across fragment boundaries
+    val owns = Seq(
+      (1L, cb + 1, 0.2), (cb + 2, cb + 1, 0.6), (cb + 3, cb + 1, 0.2),
+      (2L, cb + 2, 0.8), (2L, cb + 3, 0.84), (3L, cb + 2, 0.2), (3L, cb + 3, 0.16),
+    ).toDF("owner", "company", "share")
+    val got = grapeShares(owns, 3)
+    assertShares(got, sqlShares(owns), "nFrags=3")
+    val cControl = got.collectFirst { case (2L, c, s) if c == cb + 1 => s }
+    assert(cControl.exists(s => math.abs(s - (0.8 * 0.6 + 0.84 * 0.2)) < 1e-12))
   }
 
   // ------------------------------------------------------- cybersecurity (§8d)
