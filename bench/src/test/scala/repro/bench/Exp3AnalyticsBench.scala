@@ -7,27 +7,22 @@ class Exp3AnalyticsBench extends BenchBase {
 
   private lazy val r = Exp3Analytics.run(spark, quick)
 
-  private def speedups(base: String): Seq[Double] =
-    r.rows.filter(_.engine == "GRAPE").map { g =>
-      r.rows.find(x => x.algo == g.algo && x.graph == g.graph && x.engine == base).get.ms / g.ms
-    }
-
   test("report") { emit("exp3-analytics", Exp3Analytics.report(r)) }
 
   test("shape: GRAPE beats PowerGraph-sim everywhere, by a large factor (paper 25.1x)") {
-    val sp = speedups("PowerGraph")
+    val sp = Exp3Analytics.speedups(r, "PowerGraph")
     assert(sp.forall(_ > 1.5), s"per-case speedups $sp")
     assert(geoMean(sp) > 3, s"mean vs PowerGraph only ${geoMean(sp)}x")
   }
 
   test("shape: GRAPE at least matches Gemini-sim (paper 2.3x)") {
-    val sp = speedups("Gemini")
+    val sp = Exp3Analytics.speedups(r, "Gemini")
     assert(geoMean(sp) > 0.9, s"mean vs Gemini ${geoMean(sp)}x")
   }
 
   test("shape: GRAPE at least matches the GPU-scheduler analogues (paper 3.3x)") {
-    assert(geoMean(speedups("Groute")) > 0.9)
-    assert(geoMean(speedups("Gunrock")) > 0.9)
+    assert(geoMean(Exp3Analytics.speedups(r, "Groute")) > 0.9)
+    assert(geoMean(Exp3Analytics.speedups(r, "Gunrock")) > 0.9)
   }
 
   test("shape: PowerGraph-sim is the slowest CPU engine on PageRank") {

@@ -8,7 +8,8 @@ import repro.graph.LocalCsr
   */
 object Reference {
 
-  def pageRank(csr: LocalCsr, iters: Int, d: Double = 0.85): Array[Double] = {
+  def pageRank(csr: LocalCsr, iters: Int): Array[Double] = {
+    val d = 0.85 // its own literal, not the engines' constant
     val n = csr.n
     var rank = Array.fill(n)(1.0 / n)
     var it = 0

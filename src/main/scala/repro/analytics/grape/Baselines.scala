@@ -2,6 +2,7 @@ package repro.analytics.grape
 
 import java.util.concurrent.ConcurrentLinkedQueue
 import java.util.concurrent.atomic.{AtomicInteger, AtomicIntegerArray, AtomicLongArray}
+import repro.analytics.grape.GrapeEngine.Damping
 import repro.graph.LocalCsr
 import repro.util.Parallel
 
@@ -11,7 +12,9 @@ import repro.util.Parallel
   * two, GPU) systems we cannot run; each simulator below implements that
   * system's *published execution strategy* on the same thread/CSR substrate
   * as GRAPE, so measured deltas isolate the strategy (DESIGN.md
-  * substitution 2):
+  * substitution 2). The PageRanks share one power iteration and the
+  * level-synchronous BFSs one level loop; each simulator supplies only the
+  * step its system is known for:
   *
   *  - [[PowerGraphSim]]: GAS decomposition with *fragmented small messages* —
   *    one heap-allocated message object per edge pushed through shared
@@ -31,6 +34,79 @@ object Baselines {
 
   private def threads: Int = Runtime.getRuntime.availableProcessors()
 
+  /** The power iteration every simulator's PageRank runs: ranks start at
+    * 1/n, dangling mass is spread evenly, and a parallel pass applies the
+    * damping. `gather(rank, sum)` is the simulator's own step: it adds
+    * rank(v) / outDegree(v) into `sum(u)` for every edge v -> u, and `sum`
+    * starts zeroed.
+    */
+  private def powerIteration(csr: LocalCsr, iters: Int)(gather: (Array[Double], Array[Double]) => Unit): Array[Double] = {
+    val n = csr.n
+    val nT = threads
+    val dangling = new IntBuf
+    var v = 0
+    while (v < n) { if (csr.outDegree(v) == 0) dangling.add(v); v += 1 }
+    var rank = Array.fill(n)(1.0 / n)
+    var it = 0
+    while (it < iters) {
+      var mass = 0.0
+      var k = 0
+      while (k < dangling.size) { mass += rank(dangling(k)); k += 1 }
+      val share = mass / n
+      val next = new Array[Double](n)
+      gather(rank, next)
+      Parallel.run(nT) { tid =>
+        var v = tid
+        while (v < n) { next(v) = (1 - Damping) / n + Damping * (next(v) + share); v += nT }
+      }
+      rank = next
+      it += 1
+    }
+    rank
+  }
+
+  /** The level loop every level-synchronous BFS runs: `dist` starts at -1
+    * except the source's 0, and `expand(dist, frontier, level)`, the
+    * simulator's own step, settles level + 1 from `frontier` and returns it.
+    */
+  private def levels(csr: LocalCsr, source: Int)(
+      expand: (AtomicIntegerArray, Array[Int], Int) => Array[Int]): Array[Int] = {
+    val dist = new AtomicIntegerArray(Array.fill(csr.n)(-1))
+    dist.set(source, 0)
+    var frontier = Array(source)
+    var level = 0
+    while (frontier.nonEmpty) {
+      frontier = expand(dist, frontier, level)
+      level += 1
+    }
+    Array.tabulate(csr.n)(dist.get)
+  }
+
+  /** Gemini's and Groute's push: adds rank(v) / outDegree(v) into `acc` (by
+    * CAS, as double bits) for every out-edge of each v in `lo until hi`.
+    */
+  private def casPush(csr: LocalCsr, rank: Array[Double], acc: AtomicLongArray, lo: Int, hi: Int): Unit = {
+    var v = lo
+    while (v < hi) {
+      val c = rank(v) / csr.outDegree(v)
+      var e = csr.outOff(v)
+      while (e < csr.outOff(v + 1)) {
+        Parallel.atomicAddDouble(acc, csr.outDst(e), c)
+        e += 1
+      }
+      v += 1
+    }
+  }
+
+  /** Copies the double bits in `acc` into `sum`, in parallel. */
+  private def unpack(acc: AtomicLongArray, sum: Array[Double]): Unit = {
+    val nT = threads
+    Parallel.run(nT) { tid =>
+      var v = tid
+      while (v < sum.length) { sum(v) = java.lang.Double.longBitsToDouble(acc.get(v)); v += nT }
+    }
+  }
+
   // ----------------------------------------------------------------- PowerGraph
 
   /** One boxed message per edge — the "fragmented, randomly distributed
@@ -39,67 +115,44 @@ object Baselines {
   final class Msg(val target: Int, val value: Double)
 
   object PowerGraphSim {
-    def pageRank(csr: LocalCsr, iters: Int, d: Double = 0.85): Array[Double] = {
+    def pageRank(csr: LocalCsr, iters: Int): Array[Double] = {
       val n = csr.n
       val nT = threads
-      var rank = Array.fill(n)(1.0 / n)
       val queues = Array.fill(nT)(new ConcurrentLinkedQueue[Msg]())
       val mirrors = new Array[Double](n) // vertex-cut mirror copies
-
-      var it = 0
-      while (it < iters) {
+      powerIteration(csr, iters) { (rank, sum) =>
         // apply+sync phase: replicate master values to mirrors (extra pass)
         System.arraycopy(rank, 0, mirrors, 0, n)
-        var danglingSum = 0.0
         // scatter (GAS "scatter"): one message object per edge
         Parallel.run(nT) { tid =>
           var v = tid
           while (v < n) {
-            val deg = csr.outDegree(v)
-            if (deg > 0) {
-              val c = mirrors(v) / deg
-              var e = csr.outOff(v)
-              while (e < csr.outOff(v + 1)) {
-                val u = csr.outDst(e)
-                queues(u % nT).add(new Msg(u, c))
-                e += 1
-              }
+            val c = mirrors(v) / csr.outDegree(v)
+            var e = csr.outOff(v)
+            while (e < csr.outOff(v + 1)) {
+              val u = csr.outDst(e)
+              queues(u % nT).add(new Msg(u, c))
+              e += 1
             }
             v += nT
           }
         }
-        danglingSum = (0 until n).iterator.filter(csr.outDegree(_) == 0).map(rank).sum
         // gather: drain queues into sums
-        val next = new Array[Double](n)
         Parallel.run(nT) { tid =>
           val q = queues(tid)
           var m = q.poll()
           while (m != null) {
-            next(m.target) += m.value // targets of queue tid are disjoint mod nT
+            sum(m.target) += m.value // targets of queue tid are disjoint mod nT
             m = q.poll()
           }
         }
-        val share = danglingSum / n
-        Parallel.run(nT) { tid =>
-          var v = tid
-          while (v < n) { next(v) = (1 - d) / n + d * (next(v) + share); v += nT }
-        }
-        rank = next
-        it += 1
       }
-      rank
     }
 
     def bfs(csr: LocalCsr, source: Int): Array[Int] = {
-      val n = csr.n
       val nT = threads
-      val dist = Array.fill(n)(-1)
-      dist(source) = 0
-      var frontier = Array(source)
       val queues = Array.fill(nT)(new ConcurrentLinkedQueue[Msg]())
-      var level = 0
-      while (frontier.nonEmpty) {
-        val fr = frontier
+      levels(csr, source) { (dist, fr, level) =>
         Parallel.run(nT) { tid =>
           var k = tid
           while (k < fr.length) {
@@ -107,7 +160,7 @@ object Baselines {
             var e = csr.outOff(v)
             while (e < csr.outOff(v + 1)) {
               val u = csr.outDst(e)
-              if (dist(u) < 0) queues(u % nT).add(new Msg(u, 0))
+              if (dist.getPlain(u) < 0) queues(u % nT).add(new Msg(u, 0))
               e += 1
             }
             k += nT
@@ -119,74 +172,35 @@ object Baselines {
           val q = queues(tid)
           var m = q.poll()
           while (m != null) {
-            if (dist(m.target) < 0) { dist(m.target) = level + 1; buf.add(m.target) }
+            // plain: the targets of queue tid are disjoint mod nT
+            if (dist.getPlain(m.target) < 0) { dist.setPlain(m.target, level + 1); buf.add(m.target) }
             m = q.poll()
           }
           parts(tid) = buf.toArray
         }
-        frontier = parts.flatten
-        level += 1
+        parts.flatten
       }
-      dist
     }
   }
 
   // --------------------------------------------------------------------- Gemini
 
   object GeminiSim {
-    def pageRank(csr: LocalCsr, iters: Int, d: Double = 0.85): Array[Double] = {
+    def pageRank(csr: LocalCsr, iters: Int): Array[Double] = {
       val n = csr.n
       val nT = threads
-      var rank = Array.fill(n)(1.0 / n)
-      var it = 0
-      while (it < iters) {
-        val next = new AtomicLongArray(n) // doubles as bits; CAS adds
-        val dangling = new Array[Double](nT)
+      powerIteration(csr, iters) { (rank, sum) =>
+        val acc = new AtomicLongArray(n) // doubles as bits; CAS adds
         Parallel.run(nT) { tid =>
-          val lo = (n.toLong * tid / nT).toInt
-          val hi = (n.toLong * (tid + 1) / nT).toInt
-          var dd = 0.0
-          var v = lo
-          while (v < hi) {
-            val deg = csr.outDegree(v)
-            if (deg == 0) dd += rank(v)
-            else {
-              val c = rank(v) / deg
-              var e = csr.outOff(v)
-              while (e < csr.outOff(v + 1)) {
-                Parallel.atomicAddDouble(next, csr.outDst(e), c)
-                e += 1
-              }
-            }
-            v += 1
-          }
-          dangling(tid) = dd
+          casPush(csr, rank, acc, (n.toLong * tid / nT).toInt, (n.toLong * (tid + 1) / nT).toInt)
         }
-        val share = dangling.sum / n
-        val out = new Array[Double](n)
-        Parallel.run(nT) { tid =>
-          var v = tid
-          while (v < n) {
-            out(v) = (1 - d) / n + d * (java.lang.Double.longBitsToDouble(next.get(v)) + share)
-            v += nT
-          }
-        }
-        rank = out
-        it += 1
+        unpack(acc, sum)
       }
-      rank
     }
 
     def bfs(csr: LocalCsr, source: Int): Array[Int] = {
-      val n = csr.n
       val nT = threads
-      val dist = new AtomicIntegerArray(n)
-      (0 until n).foreach(dist.set(_, -1))
-      dist.set(source, 0)
-      var frontier = Array(source)
-      var level = 0
-      while (frontier.nonEmpty) {
-        val fr = frontier
+      levels(csr, source) { (dist, fr, level) =>
         val parts = new Array[Array[Int]](nT)
         Parallel.run(nT) { tid =>
           val buf = new IntBuf
@@ -203,10 +217,8 @@ object Baselines {
           }
           parts(tid) = buf.toArray
         }
-        frontier = parts.flatten
-        level += 1
+        parts.flatten
       }
-      Array.tabulate(n)(dist.get)
     }
   }
 
@@ -215,53 +227,23 @@ object Baselines {
   object GrouteSim {
     private val ChunkSize = 128
 
-    def pageRank(csr: LocalCsr, iters: Int, d: Double = 0.85): Array[Double] = {
+    def pageRank(csr: LocalCsr, iters: Int): Array[Double] = {
       val n = csr.n
-      val nT = threads
-      var rank = Array.fill(n)(1.0 / n)
-      var it = 0
-      while (it < iters) {
-        val next = new AtomicLongArray(n)
-        val dangling = new AtomicLongArray(1)
+      powerIteration(csr, iters) { (rank, sum) =>
+        val acc = new AtomicLongArray(n)
         // async-style: workers pull small chunks from a shared queue
         val chunkQ = new ConcurrentLinkedQueue[Integer]()
         var c = 0
         while (c * ChunkSize < n) { chunkQ.add(c); c += 1 }
-        Parallel.run(nT) { _ =>
+        Parallel.run(threads) { _ =>
           var chunk = chunkQ.poll()
           while (chunk != null) {
-            val lo = chunk * ChunkSize
-            val hi = math.min(n, lo + ChunkSize)
-            var v = lo
-            while (v < hi) {
-              val deg = csr.outDegree(v)
-              if (deg == 0) Parallel.atomicAddDouble(dangling, 0, rank(v))
-              else {
-                val cc = rank(v) / deg
-                var e = csr.outOff(v)
-                while (e < csr.outOff(v + 1)) {
-                  Parallel.atomicAddDouble(next, csr.outDst(e), cc)
-                  e += 1
-                }
-              }
-              v += 1
-            }
+            casPush(csr, rank, acc, chunk * ChunkSize, math.min(n, chunk * ChunkSize + ChunkSize))
             chunk = chunkQ.poll()
           }
         }
-        val share = java.lang.Double.longBitsToDouble(dangling.get(0)) / n
-        val out = new Array[Double](n)
-        Parallel.run(nT) { tid =>
-          var v = tid
-          while (v < n) {
-            out(v) = (1 - d) / n + d * (java.lang.Double.longBitsToDouble(next.get(v)) + share)
-            v += nT
-          }
-        }
-        rank = out
-        it += 1
+        unpack(acc, sum)
       }
-      rank
     }
 
     /** Asynchronous BFS: a shared worklist of chunks, no level barriers;
@@ -323,18 +305,11 @@ object Baselines {
   // -------------------------------------------------------------------- Gunrock
 
   object GunrockSim {
-    def pageRank(csr: LocalCsr, iters: Int, d: Double = 0.85): Array[Double] = {
+    def pageRank(csr: LocalCsr, iters: Int): Array[Double] = {
       val n = csr.n
       val nT = threads
-      var rank = Array.fill(n)(1.0 / n)
       val deg = Array.tabulate(n)(csr.outDegree)
-      var it = 0
-      while (it < iters) {
-        var danglingSum = 0.0
-        var v0 = 0
-        while (v0 < n) { if (deg(v0) == 0) danglingSum += rank(v0); v0 += 1 }
-        val share = danglingSum / n
-        val next = new Array[Double](n)
+      powerIteration(csr, iters) { (rank, sum) =>
         // pull over CSC (gather kernel): random reads of rank per in-edge
         Parallel.run(nT) { tid =>
           val lo = (n.toLong * tid / nT).toInt
@@ -348,36 +323,23 @@ object Baselines {
               s += rank(v) / deg(v)
               e += 1
             }
-            next(u) = (1 - d) / n + d * (s + share)
+            sum(u) = s
             u += 1
           }
         }
-        rank = next
-        it += 1
       }
-      rank
     }
 
     def bfs(csr: LocalCsr, source: Int): Array[Int] = {
-      val n = csr.n
       val nT = threads
-      val dist = new AtomicIntegerArray(n)
-      (0 until n).foreach(dist.set(_, -1))
-      dist.set(source, 0)
-      var frontier = new Array[Int](n)
-      frontier(0) = source
-      var frontierLen = 1
-      var level = 0
-      while (frontierLen > 0) {
+      levels(csr, source) { (dist, fr, level) =>
         // advance + filter: expand into a shared next-frontier with an
         // atomic write cursor (Gunrock's compaction)
-        val next = new Array[Int](n)
+        val next = new Array[Int](csr.n)
         val cursor = new AtomicInteger(0)
-        val fl = frontierLen
-        val fr = frontier
         Parallel.run(nT) { tid =>
           var k = tid
-          while (k < fl) {
+          while (k < fr.length) {
             val v = fr(k)
             var e = csr.outOff(v)
             while (e < csr.outOff(v + 1)) {
@@ -389,11 +351,8 @@ object Baselines {
             k += nT
           }
         }
-        frontier = next
-        frontierLen = cursor.get()
-        level += 1
+        java.util.Arrays.copyOf(next, cursor.get)
       }
-      Array.tabulate(n)(dist.get)
     }
   }
 }

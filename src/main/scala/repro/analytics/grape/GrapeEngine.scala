@@ -12,12 +12,17 @@ import repro.util.{GrowableBytes, Varint}
   */
 object GrapeEngine {
 
+  /** PageRank's damping factor, shared by GRAPE, the GRIN algorithms and the
+    * Exp-3 simulators.
+    */
+  final val Damping = 0.85
+
   /** PageRank, pulled as in libgrape-lite: each round publishes `rank/deg`
     * of the inner vertices and syncs it to their mirrors, and the next round
     * sums it over each inner vertex's in-edges. Dangling mass goes through
     * the global sum.
     */
-  def pageRank(frags: Array[Fragment], iters: Int, d: Double = 0.85): Array[Double] = {
+  def pageRank(frags: Array[Fragment], iters: Int): Array[Double] = {
     val n = frags(0).nGlobal
     val rank = new Array[Double](n)
     java.util.Arrays.fill(rank, 1.0 / n)
@@ -46,7 +51,7 @@ object GrapeEngine {
           var e = f.inOff(i)
           val end = f.inOff(i + 1)
           while (e < end) { sum += contrib(f.inSrc(e)); e += 1 }
-          rank(lo + i) = (1 - d) / n + d * (sum + danglingShare)
+          rank(lo + i) = (1 - Damping) / n + Damping * (sum + danglingShare)
           i += 1
         }
         ctx.markActive(f.innerCount)

@@ -95,14 +95,8 @@ object Exp1Storage {
       GraphArWriter.writeTable(pgE.edges, s"$dir/gar", "src", chunkSize = 131072)
       pgE.edges.write.option("header", "true").mode("overwrite").csv(s"$dir/csv")
       val schema = "src LONG, dst LONG, label STRING, ts LONG, weight DOUBLE"
-      def buildFrom(df: org.apache.spark.sql.DataFrame): Long = {
-        // graph construction: pull the topology and assemble the CSR
-        val rows = df.select("src", "dst").collect()
-        val s = new Array[Long](rows.length); val d = new Array[Long](rows.length)
-        var i = 0
-        while (i < rows.length) { s(i) = rows(i).getLong(0); d(i) = rows(i).getLong(1); i += 1 }
-        LocalCsr.build(s, d).m.toLong
-      }
+      // graph construction: pull the topology and assemble the CSR
+      def buildFrom(df: org.apache.spark.sql.DataFrame): Long = LocalCsr.fromDataFrame(df).m.toLong
       val garMs = Timing.bestOfMs(2)(
         buildFrom(spark.read.format("graphar").load(s"$dir/gar")))
       val csvMs = Timing.bestOfMs(2)(

@@ -35,12 +35,17 @@ object Exp5Fraud {
     val rows = threadCounts.map { w =>
       val rt = new HiActorRuntime(w)
       val nOps = opsPerThread * w
-      // live writer: new orders keep streaming in while queries run
-      @volatile var stopWriter = false
+      // live writer: new orders stream in while queries run, one BUY edge
+      // per four completed checks (the write mix of the oltp-live
+      // workload), so the graph grows with the work done, not with how
+      // long the reads take; it blocks while it is ahead of the readers
+      val edges = nOps / 4
+      val paid = new java.util.concurrent.Semaphore(0)
       val writer = new Thread(() => {
         val wr = new java.util.Random(7)
         var i = 0
-        while (!stopWriter) {
+        while (i < edges) {
+          paid.acquire()
           gart.addEdge(wr.nextInt(nAccounts).toLong + 1,
             SnbData.TagBase + wr.nextInt(nAccounts / 4), "BUY",
             18400L + i % 100, 1.0)
@@ -61,11 +66,11 @@ object Exp5Fraud {
           val acc = snap.internalId((i % nAccounts) + 1L)
           val v = FraudDetection.check(snap, acc, seeds, threshold = 3.0)
           if (v.alert) alerts.incrementAndGet()
+          if (i % 4 == 3) paid.release()
         }
       }
       futs.foreach(_.get())
       val secs = (System.nanoTime() - t0) / 1e9
-      stopWriter = true
       writer.join()
       rt.shutdown()
       Row(w, nOps / secs, alerts.get())

@@ -1,5 +1,6 @@
 package repro.exp
 
+import repro.analytics.grape.GrapeEngine.Damping
 import repro.grin.{Direction, GrinGraph}
 
 /** Analytics written once against GRIN — the Exp-1a point: the same
@@ -8,7 +9,7 @@ import repro.grin.{Direction, GrinGraph}
 object GrinAlgos {
 
   /** PageRank through GRIN cursors (no backend-specific access). */
-  def pageRank(g: GrinGraph, iters: Int, d: Double = 0.85): Array[Double] = {
+  def pageRank(g: GrinGraph, iters: Int): Array[Double] = {
     val n = g.vertexCount
     var rank = Array.fill(n)(1.0 / n)
     val deg = new Array[Int](n)
@@ -16,20 +17,20 @@ object GrinAlgos {
     while (v < n) { deg(v) = g.degree(v, Direction.Out); v += 1 }
     var it = 0
     while (it < iters) {
-      val next = Array.fill(n)((1 - d) / n)
+      val next = Array.fill(n)((1 - Damping) / n)
       var dangling = 0.0
       val c = g.newCursor(Direction.Out)
       v = 0
       while (v < n) {
         if (deg(v) == 0) dangling += rank(v)
         else {
-          val contrib = d * rank(v) / deg(v)
+          val contrib = Damping * rank(v) / deg(v)
           val cur = c.seek(v)
           while (cur.moveNext()) next(cur.neighbor) += contrib
         }
         v += 1
       }
-      val share = d * dangling / n
+      val share = Damping * dangling / n
       v = 0
       while (v < n) { next(v) += share; v += 1 }
       rank = next

@@ -69,7 +69,6 @@ final class GartStore(expectedVertices: Int) {
   private var eLabelNames = Vector.empty[String]
 
   private var writeVersion = 1
-  private var nEdgesCommitted = 0L
   private var nEdgesPending = 0L
   private var nEdgesDelta = 0L // committed edges in the delta chains
 
@@ -127,7 +126,6 @@ final class GartStore(expectedVertices: Int) {
   /** Publishes everything written since the last commit; returns the version. */
   def commit(): Int = {
     val v = writeVersion
-    nEdgesCommitted += nEdgesPending
     nEdgesDelta += nEdgesPending
     nEdgesPending = 0
     writeVersion += 1
@@ -141,9 +139,6 @@ final class GartStore(expectedVertices: Int) {
     state = published(v) // volatile publication point
     v
   }
-
-  def currentVersion: Int = state.version
-  def committedEdges: Long = nEdgesCommitted
 
   private def published(v: Int): State =
     new State(v, nV, extIds, vlabel, vcver, vprops, vLabelNames, eLabelNames,

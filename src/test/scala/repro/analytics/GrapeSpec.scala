@@ -14,8 +14,17 @@ class GrapeSpec extends SparkSpec {
     GraphGen.uniform(spark, n = 1500, edges = 9000, seed = 22))
   private lazy val csrs = Seq("rmat" -> rmatCsr, "uniform" -> uniCsr)
 
+  // the 4-vertex star 0 -> {1, 2, 3}: its leaves dangle
+  private lazy val star = LocalCsr.build(Array(0L, 0L, 0L), Array(1L, 2L, 3L))
+
   private def maxDiff(a: Array[Double], b: Array[Double]): Double =
     a.zip(b).map { case (x, y) => math.abs(x - y) }.max
+
+  /** A comparator's 10-round PageRank on the uniform and RMAT graphs and the star. */
+  private def assertMatchesReference(pageRank: (LocalCsr, Int) => Array[Double]): Unit =
+    (csrs :+ ("star" -> star)).foreach { case (name, csr) =>
+      assert(maxDiff(pageRank(csr, 10), Reference.pageRank(csr, 10)) < 1e-9, name)
+    }
 
   test("fragment partition preserves every edge exactly once") {
     csrs.foreach { case (name, csr) =>
@@ -167,8 +176,7 @@ class GrapeSpec extends SparkSpec {
   }
 
   test("grape works with more fragments than vertices") {
-    // the 4-vertex star 0 -> {1, 2, 3} on 8 fragments: four stay empty
-    val star = LocalCsr.build(Array(0L, 0L, 0L), Array(1L, 2L, 3L))
+    // the star on 8 fragments: four stay empty
     val frags = Fragment.partition(star, 8)
     assert(frags.count(_.innerCount == 0) == 4)
     assert(maxDiff(GrapeEngine.pageRank(frags, 10), Reference.pageRank(star, 10)) < 1e-9)
@@ -190,27 +198,24 @@ class GrapeSpec extends SparkSpec {
   }
 
   test("PowerGraph-sim PageRank matches reference") {
-    val got = Baselines.PowerGraphSim.pageRank(uniCsr, 10)
-    assert(maxDiff(got, Reference.pageRank(uniCsr, 10)) < 1e-9)
+    assertMatchesReference(Baselines.PowerGraphSim.pageRank)
   }
 
   test("Gemini-sim PageRank matches reference") {
-    val got = Baselines.GeminiSim.pageRank(uniCsr, 10)
-    assert(maxDiff(got, Reference.pageRank(uniCsr, 10)) < 1e-9)
+    assertMatchesReference(Baselines.GeminiSim.pageRank)
   }
 
   test("Groute-sim PageRank matches reference") {
-    val got = Baselines.GrouteSim.pageRank(uniCsr, 10)
-    assert(maxDiff(got, Reference.pageRank(uniCsr, 10)) < 1e-9)
+    assertMatchesReference(Baselines.GrouteSim.pageRank)
   }
 
   test("Gunrock-sim PageRank matches reference") {
-    val got = Baselines.GunrockSim.pageRank(uniCsr, 10)
-    assert(maxDiff(got, Reference.pageRank(uniCsr, 10)) < 1e-9)
+    assertMatchesReference(Baselines.GunrockSim.pageRank)
   }
 
   test("all BFS engines agree with the reference") {
-    csrs.foreach { case (name, csr) =>
+    val grid = LocalCsr.fromDataFrame(GraphGen.highDiameter(spark, side = 10, shortcutFrac = 0.0))
+    (csrs ++ Seq("star" -> star, "grid" -> grid)).foreach { case (name, csr) =>
       val src = (0 until csr.n).maxBy(csr.outDegree)
       val want = Reference.bfs(csr, src).toSeq
       assert(Baselines.PowerGraphSim.bfs(csr, src).toSeq == want, s"$name powergraph")
@@ -268,9 +273,7 @@ class GrapeSpec extends SparkSpec {
   }
 
   test("dangling vertices keep PageRank a distribution") {
-    // a star where leaves dangle
-    val csr = LocalCsr.build(Array(0L, 0L, 0L), Array(1L, 2L, 3L))
-    val frags = Fragment.partition(csr, 2)
+    val frags = Fragment.partition(star, 2)
     val pr = GrapeEngine.pageRank(frags, 30)
     assert(math.abs(pr.sum - 1.0) < 1e-9)
     assert(pr(1) > pr(0), "leaves receive mass from the hub")
