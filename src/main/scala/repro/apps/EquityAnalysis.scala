@@ -74,15 +74,11 @@ object EquityAnalysis {
   /** Builds the [[Ownership]] of (owner, company, share) rows. */
   def ownership(rows: Array[(Long, Long, Double)]): Ownership = {
     val (corp, held) = rows.partition(_._1 >= CompanyBase)
-    val csr = LocalCsr.build(corp.map(_._1), corp.map(_._2), rows.map(_._2))
-    // the shares in CSR order: the same fill walk as LocalCsr.build
-    val weights = new Array[Double](corp.length)
-    val pos = java.util.Arrays.copyOf(csr.outOff, csr.n)
-    corp.foreach { case (owner, _, share) =>
-      val v = csr.idMap.get(owner)
-      weights(pos(v)) = share
-      pos(v) += 1
-    }
+    val owners = corp.map(_._1)
+    val csr = LocalCsr.build(owners, corp.map(_._2), rows.map(_._2))
+    val weights = new Array[Double](corp.length) // the shares in CSR order
+    val slot = LocalCsr.edgeSlots(csr, owners)
+    corp.indices.foreach(i => weights(slot(i)) = corp(i)._3)
     val persons = held.map(_._1).distinct.sorted
     val direct = new KeyedChannel
     held.foreach { case (p, company, share) =>

@@ -93,6 +93,19 @@ object LocalCsr {
     new LocalCsr(n, extIds, idMap, outOff, outDst, inOff, inSrc, inEdge)
   }
 
+  /** Where each input edge landed: `build(srcExt, ...)` puts edge `i` at
+    * CSR slot `slot(i)` (so its destination is `outDst(slot(i))`). Computed
+    * on demand by the same fill walk as `build`, so the CSR stores no
+    * per-edge map.
+    */
+  def edgeSlots(csr: LocalCsr, srcExt: Array[Long]): Array[Int] = {
+    val pos = java.util.Arrays.copyOf(csr.outOff, csr.n)
+    val slot = new Array[Int](srcExt.length)
+    var i = 0
+    while (i < srcExt.length) { val s = csr.idMap.get(srcExt(i)); slot(i) = pos(s); pos(s) += 1; i += 1 }
+    slot
+  }
+
   /** Builds from a Spark edge DataFrame with `src`/`dst` long columns.
     * Collect is intentional: these stores are driver-local substrates.
     */

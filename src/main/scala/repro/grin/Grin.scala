@@ -97,28 +97,55 @@ trait GrinGraph {
   }
 }
 
-/** Shared predicate semantics for the pushdown trait. */
+/** Shared predicate semantics for the pushdown trait: the engines' own
+  * comparison rule ([[Values]]), so a pushed-down predicate selects exactly
+  * the vertices a scan-and-filter would.
+  */
 object PredicateOps {
   def compile(op: String, value: Any): Any => Boolean = {
-    def num(x: Any): Double = x match {
-      case null => Double.NaN
-      case l: Long => l.toDouble
-      case i: Int => i.toDouble
-      case d: Double => d
-      case s: String => try s.toDouble catch { case _: NumberFormatException => Double.NaN }
-      case other => other.toString.toDouble
-    }
+    def cmp(test: Int => Boolean): Any => Boolean =
+      x => x != null && value != null && test(Values.compare(x, value))
     op match {
-      case "=" => (x: Any) =>
-        if (x == null) false
-        else if (x.isInstanceOf[String] || value.isInstanceOf[String]) x.toString == value.toString
-        else num(x) == num(value)
-      case "<>" => val eq = compile("=", value); (x: Any) => x != null && !eq(x)
-      case "<" => (x: Any) => x != null && num(x) < num(value)
-      case "<=" => (x: Any) => x != null && num(x) <= num(value)
-      case ">" => (x: Any) => x != null && num(x) > num(value)
-      case ">=" => (x: Any) => x != null && num(x) >= num(value)
+      case "=" => Values.equalTo(_, value)
+      case "<>" => x => x != null && value != null && !Values.equalTo(x, value)
+      case "<" => cmp(_ < 0)
+      case "<=" => cmp(_ <= 0)
+      case ">" => cmp(_ > 0)
+      case ">=" => cmp(_ >= 0)
       case other => throw new IllegalArgumentException(s"unknown predicate op: $other")
     }
   }
+}
+
+/** Numeric/string coercion shared by the engines and the predicate trait,
+  * so HiActor, Gaia, the DuckDB oracle and storage pushdown agree on
+  * comparison semantics.
+  */
+object Values {
+  def asDouble(x: Any): Double = x match {
+    case null => Double.NaN
+    case l: Long => l.toDouble
+    case i: Int => i.toDouble
+    case d: Double => d
+    case f: Float => f.toDouble
+    case b: Boolean => if (b) 1.0 else 0.0
+    case s: String => s.toDouble
+    case other => other.toString.toDouble
+  }
+
+  def isNumeric(x: Any): Boolean = x match {
+    case _: Long | _: Int | _: Double | _: Float => true
+    case _ => false
+  }
+
+  def compare(l: Any, r: Any): Int =
+    if (isNumeric(l) || isNumeric(r)) java.lang.Double.compare(asDouble(l), asDouble(r))
+    else String.valueOf(l).compareTo(String.valueOf(r))
+
+  def equalTo(l: Any, r: Any): Boolean =
+    if (l == null || r == null) false
+    else if (isNumeric(l) && isNumeric(r)) asDouble(l) == asDouble(r)
+    else if (isNumeric(l) || isNumeric(r)) {
+      try asDouble(l) == asDouble(r) catch { case _: NumberFormatException => false }
+    } else l.toString == r.toString
 }

@@ -1,6 +1,6 @@
 package repro.query
 
-import repro.grin.{Capability, Direction, GrinGraph}
+import repro.grin.{Capability, Direction, GrinGraph, Values}
 import repro.query.ir._
 
 /** Bound graph values flowing through the OLTP interpreter. */

@@ -87,35 +87,3 @@ object Expr {
 
 /** Marker for a parameter appearing inside an IN-list. */
 final case class ParamValue(name: String)
-
-/** Numeric/string coercion shared by engines so HiActor, Gaia and the
-  * DuckDB oracle agree on comparison semantics.
-  */
-object Values {
-  def asDouble(x: Any): Double = x match {
-    case null => Double.NaN
-    case l: Long => l.toDouble
-    case i: Int => i.toDouble
-    case d: Double => d
-    case f: Float => f.toDouble
-    case b: Boolean => if (b) 1.0 else 0.0
-    case s: String => s.toDouble
-    case other => other.toString.toDouble
-  }
-
-  def isNumeric(x: Any): Boolean = x match {
-    case _: Long | _: Int | _: Double | _: Float => true
-    case _ => false
-  }
-
-  def compare(l: Any, r: Any): Int =
-    if (isNumeric(l) || isNumeric(r)) java.lang.Double.compare(asDouble(l), asDouble(r))
-    else String.valueOf(l).compareTo(String.valueOf(r))
-
-  def equalTo(l: Any, r: Any): Boolean =
-    if (l == null || r == null) false
-    else if (isNumeric(l) && isNumeric(r)) asDouble(l) == asDouble(r)
-    else if (isNumeric(l) || isNumeric(r)) {
-      try asDouble(l) == asDouble(r) catch { case _: NumberFormatException => false }
-    } else l.toString == r.toString
-}

@@ -85,6 +85,9 @@ final class GartStore(expectedVertices: Int) {
     if (i >= 0) i else { eLabelNames :+= name; eLabelNames.length - 1 }
   }
 
+  /** Adds a vertex; its `props` are kept in [[PropertyFormat]]'s stored
+    * form, and a null (or a null sentinel) is not kept.
+    */
   def addVertex(extId: Long, label: String,
                 props: Map[String, Any] = Map.empty): Int = {
     require(idMap.get(extId) < 0, s"vertex $extId already exists")
@@ -92,7 +95,8 @@ final class GartStore(expectedVertices: Int) {
     val v = nV
     extIds(v) = extId
     vlabel(v) = vertexLabelIdOrCreate(label).toByte
-    if (props.nonEmpty) vprops(v) = props
+    if (props.nonEmpty)
+      vprops(v) = props.flatMap { case (k, x) => Option(PropertyFormat.store(x)).map(k -> _) }
     vcver(v) = writeVersion
     idMap.put(extId, v)
     nV += 1
@@ -419,16 +423,12 @@ object GartStore {
     * once (snapshot v1).
     */
   def fromPropertyGraph(g: PropertyGraph): GartStore = {
-    val schema = g.vertices.schema
-    val propFields = schema.fields.filter(f => f.name != "id" && f.name != "label")
+    val names = g.vertices.columns
+    val propIdx = names.indices.filter(i => names(i) != "id" && names(i) != "label")
     val vRows = g.vertices.collect()
     val store = new GartStore(vRows.length)
     vRows.foreach { r =>
-      val props = propFields.flatMap { f =>
-        val i = schema.fieldIndex(f.name)
-        if (r.isNullAt(i)) None else Some(f.name -> r.get(i))
-      }.toMap
-      store.addVertex(r.getLong(0), r.getString(1), props)
+      store.addVertex(r.getLong(0), r.getString(1), propIdx.map(i => names(i) -> r.get(i)).toMap)
     }
     g.edges.select("src", "dst", "label", "ts", "weight").collect().foreach { r =>
       store.addEdge(r.getLong(0), r.getLong(1), r.getString(2), r.getLong(3), r.getDouble(4))

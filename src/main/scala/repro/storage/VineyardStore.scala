@@ -1,18 +1,8 @@
 package repro.storage
 
-import org.apache.spark.sql.types._
+import org.apache.spark.sql.Row
 import repro.graph.{LocalCsr, PropertyGraph}
 import repro.grin._
-
-/** Typed columnar property storage (no boxing on the numeric fast path). */
-sealed trait Col extends Serializable { def get(i: Int): Any }
-final class LongCol(val a: Array[Long]) extends Col {
-  def get(i: Int): Any = { val v = a(i); if (v == Long.MinValue) null else v }
-}
-final class DoubleCol(val a: Array[Double]) extends Col {
-  def get(i: Int): Any = { val v = a(i); if (v.isNaN) null else v }
-}
-final class StringCol(val a: Array[String]) extends Col { def get(i: Int): Any = a(i) }
 
 /** Vineyard — the immutable in-memory property-graph store (paper §4.2).
   *
@@ -106,68 +96,29 @@ object VineyardStore {
   def fromPropertyGraph(g: PropertyGraph): VineyardStore = {
     val vRows = g.vertices.collect()
     val eRows = g.edges.select("src", "dst", "label", "ts", "weight").collect()
-
-    val srcA = new Array[Long](eRows.length)
-    val dstA = new Array[Long](eRows.length)
-    var i = 0
-    while (i < eRows.length) { srcA(i) = eRows(i).getLong(0); dstA(i) = eRows(i).getLong(1); i += 1 }
-    val allVids = vRows.map(_.getLong(0))
-    val csr = LocalCsr.build(srcA, dstA, allVids)
+    val srcA = eRows.map(_.getLong(0))
+    val csr = LocalCsr.build(srcA, eRows.map(_.getLong(1)), vRows.map(_.getLong(0)))
     val n = csr.n
 
     // Vertex labels + properties, columnar by dense id.
+    val byId = new Array[Row](n)
+    vRows.foreach(r => byId(csr.idMap.get(r.getLong(0))) = r)
     val vLabelNames = vRows.map(_.getString(1)).distinct.sorted
-    val vLabelIds = new Array[Int](n)
-    val schema = g.vertices.schema
-    val propFields = schema.fields.filter(f => f.name != "id" && f.name != "label")
-    val cols: Map[String, (Array[_], StructField)] = propFields.map { f =>
-      val arr: Array[_] = f.dataType match {
-        case LongType | IntegerType | DateType | BooleanType =>
-          Array.fill(n)(Long.MinValue)
-        case DoubleType | FloatType => Array.fill(n)(Double.NaN)
-        case _ => new Array[String](n)
-      }
-      f.name -> (arr, f)
+    val vLabelIds = byId.map(r => if (r == null) 0 else vLabelNames.indexOf(r.getString(1)))
+    val vProps: Map[String, Col] = g.vertices.schema.fields.zipWithIndex.collect {
+      case (f, idx) if f.name != "id" && f.name != "label" =>
+        f.name -> PropertyFormat.column(f.dataType, n)(v => if (byId(v) == null) null else byId(v).get(idx))
     }.toMap
 
-    vRows.foreach { r =>
-      val v = csr.idMap.get(r.getLong(0))
-      vLabelIds(v) = vLabelNames.indexOf(r.getString(1))
-      propFields.foreach { f =>
-        val idx = schema.fieldIndex(f.name)
-        if (!r.isNullAt(idx)) {
-          val (arr, _) = cols(f.name)
-          f.dataType match {
-            case LongType => arr.asInstanceOf[Array[Long]](v) = r.getLong(idx)
-            case IntegerType => arr.asInstanceOf[Array[Long]](v) = r.getInt(idx).toLong
-            case BooleanType => arr.asInstanceOf[Array[Long]](v) = if (r.getBoolean(idx)) 1L else 0L
-            case DateType => arr.asInstanceOf[Array[Long]](v) = r.getDate(idx).toLocalDate.toEpochDay
-            case DoubleType => arr.asInstanceOf[Array[Double]](v) = r.getDouble(idx)
-            case FloatType => arr.asInstanceOf[Array[Double]](v) = r.getFloat(idx).toDouble
-            case _ => arr.asInstanceOf[Array[String]](v) = r.get(idx).toString
-          }
-        }
-      }
-    }
-    val vProps: Map[String, Col] = cols.map { case (name, (arr, f)) =>
-      name -> (f.dataType match {
-        case LongType | IntegerType | DateType | BooleanType => new LongCol(arr.asInstanceOf[Array[Long]])
-        case DoubleType | FloatType => new DoubleCol(arr.asInstanceOf[Array[Double]])
-        case _ => new StringCol(arr.asInstanceOf[Array[String]])
-      })
-    }
-
-    // Edge labels + fast-path props, in CSR out-edge order. We recompute the
-    // CSR fill order (same two-pass walk as LocalCsr.build) to place them.
+    // Edge labels + fast-path props, in CSR out-edge order.
+    val slot = LocalCsr.edgeSlots(csr, srcA)
     val eLabelNames = eRows.map(_.getString(2)).distinct.sorted
     val eLabelIds = new Array[Int](eRows.length)
     val eTs = new Array[Long](eRows.length)
     val eWeight = new Array[Double](eRows.length)
-    val outPos = java.util.Arrays.copyOf(csr.outOff, n)
-    i = 0
+    var i = 0
     while (i < eRows.length) {
-      val s = csr.idMap.get(srcA(i))
-      val e = outPos(s); outPos(s) += 1
+      val e = slot(i)
       eLabelIds(e) = eLabelNames.indexOf(eRows(i).getString(2))
       eTs(e) = eRows(i).getLong(3)
       eWeight(e) = eRows(i).getDouble(4)

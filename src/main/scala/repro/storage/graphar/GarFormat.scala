@@ -2,6 +2,7 @@ package repro.storage.graphar
 
 import java.io._
 import java.nio.file.{Files, Paths}
+import repro.storage.{Col, DoubleCol, LongCol, StringCol}
 import repro.util.{GrowableBytes, Varint}
 
 /** GraphAr-lite chunk format (paper §4.2's "GraphAr" archive format).
@@ -20,8 +21,9 @@ import repro.util.{GrowableBytes, Varint}
   * }}}
   *
   * Chunk binary layout: magic, nRows, nCols, then per column
-  * (name, typeTag, encoding, byteLen, payload). Null encoding: long
-  * `Long.MinValue`, double `NaN`, string dict code 0.
+  * (name, typeTag, encoding, byteLen, payload). Columns hold
+  * [[repro.storage.PropertyFormat]]'s stored form; a null string is dict
+  * code 0.
   */
 object GarFormat {
   val Magic = 0x47415231 // "GAR1"
@@ -35,19 +37,14 @@ object GarFormat {
   val EncDict: Byte = 2
   val EncVarint: Byte = 3
 
-  sealed trait GarCol { def n: Int }
-  final case class GarLongCol(a: Array[Long]) extends GarCol { def n: Int = a.length }
-  final case class GarDoubleCol(a: Array[Double]) extends GarCol { def n: Int = a.length }
-  final case class GarStringCol(a: Array[String]) extends GarCol { def n: Int = a.length }
-
-  final case class Chunk(nRows: Int, cols: Vector[(String, GarCol)]) {
-    def col(name: String): GarCol =
+  final case class Chunk(nRows: Int, cols: Vector[(String, Col)]) {
+    def col(name: String): Col =
       cols.find(_._1 == name).map(_._2)
         .getOrElse(throw new IllegalArgumentException(s"no column $name"))
   }
 
   /** Writes one chunk; `sorted` marks columns to delta-encode. */
-  def writeChunk(path: String, nRows: Int, cols: Seq[(String, GarCol)],
+  def writeChunk(path: String, nRows: Int, cols: Seq[(String, Col)],
                  sortedCols: Set[String]): Unit = {
     val out = new DataOutputStream(new BufferedOutputStream(new FileOutputStream(path), 1 << 16))
     try {
@@ -57,7 +54,7 @@ object GarFormat {
       cols.foreach { case (name, c) =>
         out.writeUTF(name)
         c match {
-          case GarLongCol(a) =>
+          case LongCol(a) =>
             out.writeByte(TLong)
             val enc = if (sortedCols(name)) EncDeltaVarint else EncVarint
             out.writeByte(enc)
@@ -71,11 +68,11 @@ object GarFormat {
             }
             val bytes = buf.toArray
             out.writeInt(bytes.length); out.write(bytes)
-          case GarDoubleCol(a) =>
+          case DoubleCol(a) =>
             out.writeByte(TDouble); out.writeByte(EncRaw)
             out.writeInt(a.length * 8)
             a.foreach(out.writeDouble)
-          case GarStringCol(a) =>
+          case StringCol(a) =>
             out.writeByte(TString); out.writeByte(EncDict)
             val dict = new java.util.LinkedHashMap[String, Integer]()
             a.foreach(s => if (s != null && !dict.containsKey(s)) dict.put(s, dict.size + 1))
@@ -103,7 +100,7 @@ object GarFormat {
       require(in.readInt() == Magic, s"$path: bad magic")
       val nRows = in.readInt()
       val nCols = in.readInt()
-      var cols = Vector.empty[(String, GarCol)]
+      var cols = Vector.empty[(String, Col)]
       var ci = 0
       while (ci < nCols) {
         val name = in.readUTF()
@@ -114,7 +111,7 @@ object GarFormat {
           var toSkip = len.toLong
           while (toSkip > 0) toSkip -= in.skip(toSkip)
         } else {
-          val col: GarCol = tpe match {
+          val col: Col = tpe match {
             case TLong =>
               val bytes = new Array[Byte](len); in.readFully(bytes)
               val a = new Array[Long](nRows)
@@ -126,12 +123,12 @@ object GarFormat {
                 else a(i) = Varint.readFromArray(bytes, pos)
                 i += 1
               }
-              GarLongCol(a)
+              LongCol(a)
             case TDouble =>
               val a = new Array[Double](nRows)
               var i = 0
               while (i < nRows) { a(i) = in.readDouble(); i += 1 }
-              GarDoubleCol(a)
+              DoubleCol(a)
             case TString =>
               val dictSize = in.readInt()
               val dict = new Array[String](dictSize)
@@ -147,7 +144,7 @@ object GarFormat {
                 a(i) = if (c == 0) null else dict(c - 1)
                 i += 1
               }
-              GarStringCol(a)
+              StringCol(a)
           }
           cols :+= (name -> col)
         }

@@ -2,6 +2,7 @@ package repro.storage.graphar
 
 import java.io.{DataInputStream, File, FileInputStream}
 import repro.grin._
+import repro.storage.{Col, DoubleCol, LongCol, StringCol}
 import repro.util.{LongIntMap, Varint}
 import GarFormat._
 
@@ -24,7 +25,7 @@ final class GraphArGraph(root: String, cacheChunks: Int = 8) extends GrinGraph {
   private val vLabelIds = new Array[Int](n)
   private val vLabelNamesB = scala.collection.mutable.ArrayBuffer.empty[String]
   private val idMap = new LongIntMap(n)
-  private val propCols: Map[String, Array[GarCol]] =
+  private val propCols: Map[String, Array[Col]] =
     vMeta.cols.filter(c => c._1 != "id" && c._1 != "label").map { case (name, _) =>
       name -> vChunks.map(_.col(name)).toArray
     }.toMap
@@ -37,8 +38,8 @@ final class GraphArGraph(root: String, cacheChunks: Int = 8) extends GrinGraph {
   locally {
     var row = 0
     vChunks.foreach { ch =>
-      val ids = ch.col("id").asInstanceOf[GarLongCol].a
-      val labels = ch.col("label").asInstanceOf[GarStringCol].a
+      val ids = ch.col("id").asInstanceOf[LongCol].a
+      val labels = ch.col("label").asInstanceOf[StringCol].a
       var i = 0
       while (i < ch.nRows) {
         extIdsA(row) = ids(i)
@@ -137,10 +138,10 @@ final class GraphArGraph(root: String, cacheChunks: Int = 8) extends GrinGraph {
         val ci = table.chunkIdxForRow(row)
         ch = table.chunk(ci)
         chStart = table.startRow(ci); chEnd = table.startRow(ci + 1)
-        nbrCol = ch.col("nbr").asInstanceOf[GarLongCol].a
-        labelCol = ch.col("label").asInstanceOf[GarStringCol].a
-        tsCol = ch.col("ts").asInstanceOf[GarLongCol].a
-        wCol = ch.col("weight").asInstanceOf[GarDoubleCol].a
+        nbrCol = ch.col("nbr").asInstanceOf[LongCol].a
+        labelCol = ch.col("label").asInstanceOf[StringCol].a
+        tsCol = ch.col("ts").asInstanceOf[LongCol].a
+        wCol = ch.col("weight").asInstanceOf[DoubleCol].a
       }
       i = (row - chStart).toInt
       true
@@ -173,12 +174,7 @@ final class GraphArGraph(root: String, cacheChunks: Int = 8) extends GrinGraph {
           // locate the vertex chunk containing dense row v
           var ci = 0
           while (chunkStartRow(ci + 1) <= v) ci += 1
-          val i = v - chunkStartRow(ci)
-          chunks(ci) match {
-            case GarLongCol(a) => if (a(i) == Long.MinValue) null else a(i)
-            case GarDoubleCol(a) => if (a(i).isNaN) null else a(i)
-            case GarStringCol(a) => a(i)
-          }
+          chunks(ci).get(v - chunkStartRow(ci))
       }
   }
 

@@ -10,7 +10,7 @@ import org.apache.spark.sql.sources._
 import org.apache.spark.sql.types._
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
 import org.apache.spark.unsafe.types.UTF8String
-import scala.jdk.CollectionConverters._
+import repro.storage.{Col, LongCol, PropertyFormat}
 import GarFormat._
 
 /** DataSource V2 connector for GraphAr-lite tables.
@@ -44,11 +44,7 @@ class GraphArSource extends TableProvider with DataSourceRegister {
 object GraphArTable {
   def schemaOf(meta: TableMeta): StructType =
     StructType(meta.cols.map { case (name, t) =>
-      StructField(name, t match {
-        case "long" => LongType
-        case "double" => DoubleType
-        case _ => StringType
-      }, nullable = true)
+      StructField(name, PropertyFormat.sparkType(t), nullable = true)
     })
 }
 
@@ -149,9 +145,9 @@ class GarPartitionReader(file: String, cols: Array[(String, String)], sortCol: S
   // Decode required columns, plus the sort column when row filters apply.
   private val wanted = cols.map(_._1).toSet ++ (if (preds.nonEmpty) Set(sortCol) else Set.empty)
   private val chunk = readChunk(file, wanted)
-  private val outCols: Array[GarCol] = cols.map { case (n, _) => chunk.col(n) }
+  private val outCols: Array[Col] = cols.map { case (n, _) => chunk.col(n) }
   private val keyCol: Array[Long] =
-    if (preds.nonEmpty) chunk.col(sortCol).asInstanceOf[GarLongCol].a else null
+    if (preds.nonEmpty) chunk.col(sortCol).asInstanceOf[LongCol].a else null
   private var row = -1
 
   override def next(): Boolean = {
@@ -164,10 +160,9 @@ class GarPartitionReader(file: String, cols: Array[(String, String)], sortCol: S
     val values = new Array[Any](outCols.length)
     var i = 0
     while (i < outCols.length) {
-      values(i) = outCols(i) match {
-        case GarLongCol(a) => if (a(row) == Long.MinValue) null else a(row)
-        case GarDoubleCol(a) => if (a(row).isNaN) null else a(row)
-        case GarStringCol(a) => if (a(row) == null) null else UTF8String.fromString(a(row))
+      values(i) = outCols(i).get(row) match {
+        case s: String => UTF8String.fromString(s)
+        case v => v
       }
       i += 1
     }

@@ -1,10 +1,10 @@
 package repro.storage.graphar
 
 import java.io.File
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types._
 import repro.graph.PropertyGraph
+import repro.storage.PropertyFormat
 import GarFormat._
 
 /** Writes Spark DataFrames as GraphAr-lite tables, and whole
@@ -20,47 +20,6 @@ import GarFormat._
   * }}}
   */
 object GraphArWriter {
-
-  /** Supported logical types: long / double / string (+date/int/bool → long). */
-  private def typeNameOf(dt: DataType): String = dt match {
-    case LongType | IntegerType | DateType | BooleanType | ShortType => "long"
-    case DoubleType | FloatType => "double"
-    case StringType => "string"
-    case other => throw new IllegalArgumentException(s"GraphAr-lite cannot store $other")
-  }
-
-  private def colOf(rows: Array[Row], idx: Int, dt: DataType): GarCol = typeNameOf(dt) match {
-    case "long" =>
-      val a = new Array[Long](rows.length)
-      var i = 0
-      while (i < rows.length) {
-        a(i) = if (rows(i).isNullAt(idx)) Long.MinValue else dt match {
-          case LongType => rows(i).getLong(idx)
-          case IntegerType => rows(i).getInt(idx).toLong
-          case ShortType => rows(i).getShort(idx).toLong
-          case BooleanType => if (rows(i).getBoolean(idx)) 1L else 0L
-          case DateType => rows(i).getDate(idx).toLocalDate.toEpochDay
-          case _ => rows(i).getLong(idx)
-        }
-        i += 1
-      }
-      GarLongCol(a)
-    case "double" =>
-      val a = new Array[Double](rows.length)
-      var i = 0
-      while (i < rows.length) {
-        a(i) = if (rows(i).isNullAt(idx)) Double.NaN
-               else if (dt == FloatType) rows(i).getFloat(idx).toDouble
-               else rows(i).getDouble(idx)
-        i += 1
-      }
-      GarDoubleCol(a)
-    case "string" =>
-      val a = new Array[String](rows.length)
-      var i = 0
-      while (i < rows.length) { a(i) = if (rows(i).isNullAt(idx)) null else rows(i).getString(idx); i += 1 }
-      GarStringCol(a)
-  }
 
   /** Writes `df` sorted by `sortCol` into `dir` as chunked columnar files.
     * Chunking happens per range partition on the executors; the driver only
@@ -87,7 +46,7 @@ object GraphArWriter {
         val end = math.min(rows.length, start + chunkSize)
         val slice = rows.slice(start, end)
         val cols = fields.toIndexedSeq.zipWithIndex.map { case (f, idx) =>
-          f.name -> colOf(slice, idx, f.dataType)
+          f.name -> PropertyFormat.column(f.dataType, slice.length)(slice(_).get(idx))
         }
         val fname = f"chunk-$pid%05d-$j%04d.gar"
         writeChunk(new File(dir, fname).getPath, slice.length, cols, Set(sortCol))
@@ -105,7 +64,7 @@ object GraphArWriter {
 
     val chunks = stats.map { case (_, f, n, mn, mx) => ChunkMeta(f, n, mn, mx) }.toVector
     val meta = TableMeta(chunks.map(_.rows.toLong).sum, sortCol,
-      fields.map(f => f.name -> typeNameOf(f.dataType)).toVector, chunks)
+      fields.map(f => f.name -> PropertyFormat.kind(f.dataType)).toVector, chunks)
     writeMeta(dir, meta)
   }
 

@@ -1,7 +1,5 @@
 package repro.util
 
-import java.io.{DataInputStream, DataOutputStream}
-
 /** Zig-zag varint codec for Long/Int streams.
   *
   * Used in two places mirroring the paper: (1) GRAPE's CPU backend "employs
@@ -16,25 +14,7 @@ object Varint {
   @inline def zigzag(v: Long): Long = (v << 1) ^ (v >> 63)
   @inline def unzigzag(v: Long): Long = (v >>> 1) ^ -(v & 1)
 
-  /** Writes one zig-zag varint; returns bytes written. */
-  def write(out: DataOutputStream, value: Long): Int = {
-    var v = zigzag(value)
-    var n = 0
-    while ((v & ~0x7fL) != 0) { out.writeByte(((v & 0x7f) | 0x80).toInt); v >>>= 7; n += 1 }
-    out.writeByte(v.toInt); n + 1
-  }
-
-  def read(in: DataInputStream): Long = {
-    var shift = 0; var acc = 0L; var b = 0
-    do {
-      b = in.readUnsignedByte()
-      acc |= (b & 0x7fL) << shift
-      shift += 7
-    } while ((b & 0x80) != 0)
-    unzigzag(acc)
-  }
-
-  /** In-place buffer variants used by the GRAPE message codec. */
+  /** Appends one zig-zag varint (GRAPE message codec, GraphAr chunks). */
   def writeToBuffer(buf: GrowableBytes, value: Long): Unit = {
     var v = zigzag(value)
     while ((v & ~0x7fL) != 0) { buf.add(((v & 0x7f) | 0x80).toByte); v >>>= 7 }

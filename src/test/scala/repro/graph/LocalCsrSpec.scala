@@ -46,6 +46,20 @@ class LocalCsrSpec extends AnyFunSuite {
     }
   }
 
+  test("edgeSlots: edge i sits at outDst(slot(i)); the slots are a permutation") {
+    // parallel edges (1->2 twice), self-loops (2->2, 3->3), isolated 7 and 8
+    val src = Array(1L, 2L, 1L, 3L, 2L, 1L, 3L)
+    val dst = Array(2L, 2L, 2L, 3L, 1L, 3L, 1L)
+    val csr = LocalCsr.build(src, dst, extraVertexIds = Array(7L, 8L))
+    val slot = LocalCsr.edgeSlots(csr, src)
+    assert(slot.sorted.toSeq == src.indices)
+    src.indices.foreach { i =>
+      val s = csr.idMap.get(src(i))
+      assert(csr.outDst(slot(i)) == csr.idMap.get(dst(i)), s"edge $i")
+      assert(csr.outOff(s) <= slot(i) && slot(i) < csr.outOff(s + 1), s"edge $i")
+    }
+  }
+
   test("isolated vertices via extraVertexIds") {
     val csr = LocalCsr.build(Array(1L), Array(2L), extraVertexIds = Array(50L, 60L))
     assert(csr.n == 4)

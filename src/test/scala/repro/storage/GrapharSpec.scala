@@ -17,24 +17,24 @@ class GrapharSpec extends SparkSpec {
     val dbl = Array(1.5, Double.NaN, -2.25, 0.0, 9e9)
     val str = Array("a", null, "b", "a", "c")
     writeChunk(s"$dir/c.gar", 5, Seq(
-      "k" -> GarLongCol(sorted), "u" -> GarLongCol(unsorted),
-      "d" -> GarDoubleCol(dbl), "s" -> GarStringCol(str)), Set("k"))
+      "k" -> LongCol(sorted), "u" -> LongCol(unsorted),
+      "d" -> DoubleCol(dbl), "s" -> StringCol(str)), Set("k"))
     val ch = readChunk(s"$dir/c.gar")
     assert(ch.nRows == 5)
-    assert(ch.col("k").asInstanceOf[GarLongCol].a.toSeq == sorted.toSeq)
-    assert(ch.col("u").asInstanceOf[GarLongCol].a.toSeq == unsorted.toSeq)
-    val d = ch.col("d").asInstanceOf[GarDoubleCol].a
+    assert(ch.col("k").asInstanceOf[LongCol].a.toSeq == sorted.toSeq)
+    assert(ch.col("u").asInstanceOf[LongCol].a.toSeq == unsorted.toSeq)
+    val d = ch.col("d").asInstanceOf[DoubleCol].a
     assert(d(0) == 1.5 && d(1).isNaN && d(4) == 9e9)
-    assert(ch.col("s").asInstanceOf[GarStringCol].a.toSeq == str.toSeq)
+    assert(ch.col("s").asInstanceOf[StringCol].a.toSeq == str.toSeq)
   }
 
   test("column pruning skips undecoded columns") {
     val dir = tmp("gar-prune")
     writeChunk(s"$dir/c.gar", 3, Seq(
-      "a" -> GarLongCol(Array(1, 2, 3)), "b" -> GarStringCol(Array("x", "y", "z"))), Set("a"))
+      "a" -> LongCol(Array(1, 2, 3)), "b" -> StringCol(Array("x", "y", "z"))), Set("a"))
     val ch = readChunk(s"$dir/c.gar", wanted = Set("b"))
     assert(ch.cols.map(_._1) == Vector("b"))
-    assert(ch.col("b").asInstanceOf[GarStringCol].a.toSeq == Seq("x", "y", "z"))
+    assert(ch.col("b").asInstanceOf[StringCol].a.toSeq == Seq("x", "y", "z"))
     intercept[IllegalArgumentException](ch.col("a"))
   }
 
@@ -46,10 +46,10 @@ class GrapharSpec extends SparkSpec {
       val longs = Array.fill(n)(rng.nextLong() % 1000000)
       val strs = Array.fill(n)(if (rng.nextBoolean()) null else "s" + rng.nextInt(20))
       writeChunk(s"$dir/c$t.gar", n,
-        Seq("l" -> GarLongCol(longs), "s" -> GarStringCol(strs)), Set.empty)
+        Seq("l" -> LongCol(longs), "s" -> StringCol(strs)), Set.empty)
       val ch = readChunk(s"$dir/c$t.gar")
-      assert(ch.col("l").asInstanceOf[GarLongCol].a.toSeq == longs.toSeq)
-      assert(ch.col("s").asInstanceOf[GarStringCol].a.toSeq == strs.toSeq)
+      assert(ch.col("l").asInstanceOf[LongCol].a.toSeq == longs.toSeq)
+      assert(ch.col("s").asInstanceOf[StringCol].a.toSeq == strs.toSeq)
     }
   }
 

@@ -1,8 +1,11 @@
 package repro.storage
 
+import org.apache.spark.sql.Row
+import org.apache.spark.sql.types._
 import repro.SparkSpec
-import repro.graph.SnbData
+import repro.graph.{PropertyGraph, SnbData}
 import repro.grin._
+import repro.query.{CypherParser, HiActorExec, Optimizer}
 import repro.storage.graphar.{GraphArGraph, GraphArWriter}
 
 /** GRIN conformance across the three backends — the "implement once, deploy
@@ -153,6 +156,75 @@ class GrinBackendsSpec extends SparkSpec {
       val viaIdx = (0 until g.degree(v, Direction.Out))
         .map(i => g.externalId(g.neighborAt(v, Direction.Out, i))).sorted
       assert(viaIdx == adjacency(g, v, Direction.Out))
+    }
+  }
+
+  // One property of each stored kind's source types, each null on one vertex:
+  // prop k is null on vertex k + 3; vertex 2 has i = 7.
+  private val typedProps = Seq(
+    "i" -> IntegerType, "h" -> ShortType, "b" -> BooleanType, "f" -> FloatType,
+    "x" -> DoubleType, "d" -> DateType, "l" -> LongType, "s" -> StringType)
+  private lazy val typed: PropertyGraph = {
+    val schema = StructType(Seq(StructField("id", LongType), StructField("label", StringType)) ++
+      typedProps.map { case (n, t) => StructField(n, t) })
+    val vs = (1L to 10L).map { id =>
+      val vals = Seq[Any]((id + 5).toInt, (id * 3).toShort, id % 2 == 0, id * 0.5f, id * 1.25,
+        java.sql.Date.valueOf(java.time.LocalDate.ofEpochDay(17990 + 5 * id)), id << 40, s"s$id")
+      Row.fromSeq(Seq(id, "P") ++ vals.zipWithIndex.map { case (x, k) => if (id == k + 3) null else x })
+    }
+    val es = (1L to 9L).map(id => Row(id, id + 1, "E", id, 1.0))
+    val eSchema = StructType(Seq(StructField("src", LongType), StructField("dst", LongType),
+      StructField("label", StringType), StructField("ts", LongType), StructField("weight", DoubleType)))
+    PropertyGraph(spark.createDataFrame(spark.sparkContext.parallelize(vs), schema),
+      spark.createDataFrame(spark.sparkContext.parallelize(es), eSchema))
+  }
+  private lazy val typedBackends: Seq[(String, GrinGraph)] = {
+    val dir = java.nio.file.Files.createTempDirectory("grin-typed").toString
+    GraphArWriter.exportGraph(typed, dir, chunkSize = 4)
+    val live = new GartStore(16)
+    typed.vertices.collect().foreach { r =>
+      val props = typedProps.map { case (n, _) => n -> r.getAs[Any](n) }.toMap
+      live.addVertex(r.getLong(0), r.getString(1), props)
+    }
+    live.commit()
+    Seq("vineyard" -> VineyardStore.fromPropertyGraph(typed),
+      "gart" -> GartStore.fromPropertyGraph(typed).snapshot(),
+      "gart-addVertex" -> live.snapshot(),
+      "graphar" -> new GraphArGraph(dir))
+  }
+
+  test("one PropertyGraph reads back the same values, of one class, from every store") {
+    val stored = Map[DataType, Class[_]](IntegerType -> classOf[java.lang.Long],
+      ShortType -> classOf[java.lang.Long], BooleanType -> classOf[java.lang.Long],
+      DateType -> classOf[java.lang.Long], LongType -> classOf[java.lang.Long],
+      FloatType -> classOf[java.lang.Double], DoubleType -> classOf[java.lang.Double],
+      StringType -> classOf[String])
+    for (id <- 1L to 10L; ((name, t), k) <- typedProps.zipWithIndex) {
+      val got = typedBackends.map { case (b, g) => b -> g.vertexProp(g.internalId(id), name) }
+      if (id == k + 3) got.foreach { case (b, x) => assert(x == null, s"[$b] $name of $id") }
+      else got.foreach { case (b, x) =>
+        assert(x != null && x.getClass == stored(t), s"[$b] $name of $id: $x")
+        assert(x == got.head._2, s"[$b] $name of $id: $x vs vineyard ${got.head._2}")
+      }
+    }
+    typedBackends.foreach { case (b, g) =>
+      val v2 = g.internalId(2L)
+      assert(g.vertexProp(v2, "i") == 7L && g.vertexProp(v2, "d") == 18000L, s"[$b]") // epoch day
+    }
+  }
+
+  test("HiActor answers do not depend on the store") {
+    // (query, rows): d > 18000 on vertices 3..10 but 8 (null d); i = 7 on vertex 2
+    val queries = Seq(
+      "MATCH (p:P) WHERE p.d > 18000 RETURN p.id AS id, p.b AS b, p.s AS s" -> 7,
+      "MATCH (p:P) WHERE p.i = '07' RETURN p.id" -> 1)
+    queries.foreach { case (q, n) =>
+      val plan = Optimizer.optimize(CypherParser.parse(q))
+      val rows = typedBackends.map { case (b, g) =>
+        b -> HiActorExec.execute(plan, g).rows.sortBy(_.head.toString)
+      }
+      assert(rows.head._2.length == n, q)
+      rows.foreach { case (b, r) => assert(r == rows.head._2, s"[$b] $q") }
     }
   }
 }
