@@ -15,7 +15,10 @@ object Exp4Learning {
 
   final case class Row(mode: String, workers: Int, epochMs: Long, loss: Double)
   final case class Result(scaleUp: Seq[Row], scaleOut: Seq[Row],
-                          pipelinedMs: Long, coupledMs: Long)
+                          pipelined: LearnPipeline.Metrics, coupled: LearnPipeline.Metrics) {
+    def pipelinedMs: Long = pipelined.epochMillis
+    def coupledMs: Long = coupled.epochMillis
+  }
 
   def run(spark: SparkSession, quick: Boolean = false): Result = {
     val edges = if (quick)
@@ -52,7 +55,7 @@ object Exp4Learning {
     val w = if (quick) 2 else 4
     val pip = epoch(w, w, 1, distributed = false, pipelined = true)
     val coup = epoch(w, w, 1, distributed = false, pipelined = false)
-    Result(scaleUp, scaleOut, pip.epochMillis, coup.epochMillis)
+    Result(scaleUp, scaleOut, pip, coup)
   }
 
   def report(r: Result): String = {
@@ -61,16 +64,19 @@ object Exp4Learning {
     val base = r.scaleUp.head.epochMs.toDouble
     sb.append(Timing.table(Seq("workers", "epoch", "speedup", "loss"),
       r.scaleUp.map(x => Seq(x.workers.toString, Timing.fmt(x.epochMs.toDouble),
-        f"${base / x.epochMs}%.2fx", f"${x.loss}%.3f"))))
+        f"${base / x.epochMs}%.2fx", f"${x.loss}%.3f")))).append('\n')
     sb.append("   paper: near-linear, 3.94x at 4 GPUs\n\n")
     sb.append("== Exp-4 (Fig 7m): scale-out, nodes x 2 workers, simulated network ==\n")
     val base2 = r.scaleOut.head.epochMs.toDouble
     sb.append(Timing.table(Seq("nodes", "epoch", "speedup", "loss"),
       r.scaleOut.map(x => Seq(x.workers.toString, Timing.fmt(x.epochMs.toDouble),
-        f"${base2 / x.epochMs}%.2fx", f"${x.loss}%.3f"))))
+        f"${base2 / x.epochMs}%.2fx", f"${x.loss}%.3f")))).append('\n')
     sb.append("   paper: almost-linear, 3.42x at 4 nodes\n\n")
     sb.append(f"async pipelining: ${Timing.fmt(r.pipelinedMs.toDouble)} vs coupled " +
       f"${Timing.fmt(r.coupledMs.toDouble)} = ${r.coupledMs.toDouble / r.pipelinedMs}%.2fx\n")
+    sb.append(f"   busy ms: pipelined sampler ${r.pipelined.samplerBusyMillis} trainer " +
+      f"${r.pipelined.trainerBusyMillis}; coupled sampler ${r.coupled.samplerBusyMillis} " +
+      f"trainer ${r.coupled.trainerBusyMillis}\n")
     sb.toString
   }
 }

@@ -16,8 +16,11 @@ import repro.storage.VineyardStore
 object Exp7Social {
 
   final case class Row(nSamplers: Int, pairsPerSec: Double)
-  final case class Result(scaling: Seq[Row], decoupledPairsPerSec: Double,
-                          coupledPairsPerSec: Double)
+  final case class Result(scaling: Seq[Row], nPairs: Int,
+                          decoupled: LearnPipeline.Metrics, coupled: LearnPipeline.Metrics) {
+    def decoupledPairsPerSec: Double = nPairs * 1000.0 / decoupled.epochMillis
+    def coupledPairsPerSec: Double = nPairs * 1000.0 / coupled.epochMillis
+  }
 
   def run(spark: SparkSession, quick: Boolean = false): Result = {
     val edges = if (quick)
@@ -36,78 +39,35 @@ object Exp7Social {
     }
     val labels = Array.fill(nPairs)(rng.nextInt(2))
 
-    def sampleAll(nSamplers: Int): Double = {
-      val next = new java.util.concurrent.atomic.AtomicInteger(0)
-      val nBatches = nPairs / batchPairs
-      val t0 = System.nanoTime()
-      repro.util.Parallel.run(nSamplers) { sid =>
-        val sampler = new NcnSampler(grin, store, Array(10, 5), seed = 15 + sid)
-        var b = next.getAndIncrement()
-        while (b < nBatches) {
-          val lo = b * batchPairs
-          sampler.sampleBatch(pairs.slice(lo, lo + batchPairs),
-            labels.slice(lo, lo + batchPairs), b)
-          b = next.getAndIncrement()
-        }
+    val nBatches = nPairs / batchPairs
+
+    // Worker w's sampler over the pair slices, seeded from `seedBase`.
+    def ncnSampler(seedBase: Int)(w: Int): Int => NcnSampler#NcnBatch = {
+      val sampler = new NcnSampler(grin, store, Array(10, 5), seed = seedBase + w)
+      b => {
+        val lo = b * batchPairs
+        sampler.sampleBatch(pairs.slice(lo, lo + batchPairs), labels.slice(lo, lo + batchPairs), b)
       }
-      nPairs / ((System.nanoTime() - t0) / 1e9)
+    }
+
+    // sampler-only sweep: the coupled loop with a no-op train step
+    def sampleAll(nSamplers: Int): Double = {
+      val m = LearnPipeline.run(nBatches, nBatches * batchPairs, nSamplers, nSamplers,
+        pipelined = false)(ncnSampler(15))(_ => (0.0, 0))
+      nPairs * 1000.0 / m.epochMillis
     }
 
     val counts = if (quick) Seq(1, 2) else Seq(1, 2, 4, 8)
     val scaling = counts.map(c => Row(c, sampleAll(c)))
 
     // decoupled (4 samplers feeding 2 trainers via a channel) vs coupled
-    def endToEnd(decoupled: Boolean): Double = {
-      val trainer = new NcnTrainer(enc, 0.05f)
-      val nBatches = nPairs / batchPairs
-      val t0 = System.nanoTime()
-      if (decoupled) {
-        val q = new java.util.concurrent.ArrayBlockingQueue[NcnSampler#NcnBatch](8)
-        val next = new java.util.concurrent.atomic.AtomicInteger(0)
-        val done = new java.util.concurrent.atomic.AtomicInteger(0)
-        val samplers = (0 until 4).map { sid =>
-          val t = new Thread(() => {
-            val sampler = new NcnSampler(grin, store, Array(10, 5), seed = 31 + sid)
-            var b = next.getAndIncrement()
-            while (b < nBatches) {
-              val lo = b * batchPairs
-              q.put(sampler.sampleBatch(pairs.slice(lo, lo + batchPairs),
-                labels.slice(lo, lo + batchPairs), b))
-              b = next.getAndIncrement()
-            }
-            done.incrementAndGet()
-          })
-          t.start(); t
-        }
-        val trainers = (0 until 2).map { _ =>
-          val t = new Thread(() => {
-            var run = true
-            while (run) {
-              val b = q.poll(2, java.util.concurrent.TimeUnit.MILLISECONDS)
-              if (b != null) trainer.trainStep(b)
-              else if (done.get() == 4 && q.isEmpty) run = false
-            }
-          })
-          t.start(); t
-        }
-        samplers.foreach(_.join()); trainers.foreach(_.join())
-      } else {
-        repro.util.Parallel.run(2) { wid =>
-          val sampler = new NcnSampler(grin, store, Array(10, 5), seed = 41 + wid)
-          var b = wid
-          while (b < nBatches) {
-            val lo = b * batchPairs
-            val nb = sampler.sampleBatch(pairs.slice(lo, lo + batchPairs),
-              labels.slice(lo, lo + batchPairs), b)
-            trainer.trainStep(nb)
-            b += 2
-          }
-        }
-      }
-      nPairs / ((System.nanoTime() - t0) / 1e9)
-    }
+    // (2 workers that each sample, then train)
+    val trainer = new NcnTrainer(enc)
+    def endToEnd(decoupled: Boolean): LearnPipeline.Metrics =
+      LearnPipeline.run(nBatches, nBatches * batchPairs, nSamplers = 4, nTrainers = 2,
+        pipelined = decoupled)(ncnSampler(31))(trainer.trainStep)
 
-    Result(scaling, endToEnd(decoupled = true), endToEnd(decoupled = false))
+    Result(scaling, nPairs, endToEnd(decoupled = true), endToEnd(decoupled = false))
   }
 
   def report(r: Result): String = {
@@ -119,6 +79,8 @@ object Exp7Social {
       f"\n   end-to-end pairs/s: decoupled(4 samplers:2 trainers) ${r.decoupledPairsPerSec}%.0f" +
       f" vs coupled(2 workers) ${r.coupledPairsPerSec}%.0f" +
       f" = ${r.decoupledPairsPerSec / r.coupledPairsPerSec}%.2fx\n" +
+      f"   busy ms: decoupled sampler ${r.decoupled.samplerBusyMillis} trainer ${r.decoupled.trainerBusyMillis};" +
+      f" coupled sampler ${r.coupled.samplerBusyMillis} trainer ${r.coupled.trainerBusyMillis}\n" +
       "   paper: 10 sampling + 20 training nodes, 1.5h/epoch, linear scaling\n"
   }
 }

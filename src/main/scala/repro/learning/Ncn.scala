@@ -52,11 +52,12 @@ final class NcnSampler(g: GrinGraph, store: FeatureStore,
 }
 
 /** Link-prediction head: logistic score on pooled SAGE embeddings. */
-final class NcnTrainer(encoder: Sage, lr: Float) {
+final class NcnTrainer(encoder: Sage) {
 
-  /** One logistic-regression step on pair scores; returns (loss, #correct).
-    * The encoder runs forward-only here (frozen features for the link head)
-    * — NCN's heavy cost is sampling, which is what Exp-7 measures.
+  /** Scores a batch's pairs and returns their mean logistic loss and
+    * #correct. Forward-only: the encoder and the head are not updated
+    * (frozen features for the link head) — NCN's heavy cost is sampling,
+    * which is what Exp-7 measures.
     */
   def trainStep(nb: NcnSampler#NcnBatch): (Double, Int) = {
     val f = encoder.forward(nb.batch)

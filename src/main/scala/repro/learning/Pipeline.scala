@@ -1,22 +1,27 @@
 package repro.learning
 
 import java.util.concurrent.{ArrayBlockingQueue, TimeUnit}
-import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
+import java.util.concurrent.atomic.{AtomicBoolean, AtomicInteger, AtomicLong, DoubleAdder}
 import repro.grin.GrinGraph
+import repro.util.Parallel
 
 /** The decoupled, asynchronously pipelined sampling/training runtime (§7).
   *
-  * Sampler workers (the "CPU sampling cluster") pull seed batches, build
-  * layered samples + collect features, and push them into a bounded
-  * prefetch channel; trainer workers (the "GPU instances") consume from the
-  * channel and run SGD. Sampler and trainer counts scale independently —
-  * the paper's core §7 claim — and `pipelined = false` runs the coupled
-  * sample-then-train loop for comparison.
+  * Sampler workers (the "CPU sampling cluster") pull batch indices, build
+  * their batches, and push them into a bounded prefetch channel; trainer
+  * workers (the "GPU instances") consume from the channel and train.
+  * Sampler and trainer counts scale independently — the paper's core §7
+  * claim — and `pipelined = false` runs the coupled sample-then-train loop
+  * for comparison. [[run]] takes any sampler/trainer pair: GraphSAGE
+  * ([[trainEpoch]]) and NCN (Exp-7) both train through it.
   *
   * "Nodes" in scale-out mode are worker groups whose feature fetches pay
   * the simulated network cost (see [[FeatureStore]]).
   */
 object LearnPipeline {
+
+  private val Prefetch = 8
+  private val LearningRate = 0.05f
 
   final case class Config(
       nSamplers: Int,
@@ -24,10 +29,8 @@ object LearnPipeline {
       nNodes: Int = 1,
       batchSize: Int = 1024,
       fanouts: Array[Int] = Array(15, 10, 5),
-      prefetch: Int = 8,
       pipelined: Boolean = true,
       distributed: Boolean = false,
-      lr: Float = 0.05f,
       seed: Long = 17)
 
   final case class Metrics(epochMillis: Long, meanLoss: Double, accuracy: Double,
@@ -44,80 +47,88 @@ object LearnPipeline {
       a
     }
     val nBatches = (n + cfg.batchSize - 1) / cfg.batchSize
+    run[Batch](nBatches, n, cfg.nSamplers, cfg.nTrainers, cfg.pipelined) { w =>
+      val sampler = new NeighborSampler(g, store, cfg.fanouts, cfg.seed + w)
+      val part = w % math.max(1, cfg.nNodes)
+      b => {
+        val lo = b * cfg.batchSize
+        val seeds = java.util.Arrays.copyOfRange(order, lo, math.min(n, lo + cfg.batchSize))
+        sampler.sample(seeds, b, localPart = part, distributed = cfg.distributed)
+      }
+    }(model.trainStep(_, LearningRate))
+  }
+
+  /** Trains batches `0 until nBatches` once each and returns the totals.
+    * `sampler(w)` builds worker `w`'s sampler, which maps a batch index to
+    * its batch; `train` returns a batch's (loss, #correct), and accuracy is
+    * #correct over `items`. Pipelined, `nSamplers` samplers feed `nTrainers`
+    * trainers through the prefetch channel; coupled, `nTrainers` workers
+    * each sample a batch and then train on it. The first failure on either
+    * side stops every worker and is rethrown.
+    */
+  def run[B](nBatches: Int, items: Int, nSamplers: Int, nTrainers: Int, pipelined: Boolean)
+            (sampler: Int => Int => B)(train: B => (Double, Int)): Metrics = {
     val nextBatch = new AtomicInteger(0)
-    val lossSum = new AtomicLong(0) // micro-units
+    val lossSum = new DoubleAdder
     val correct = new AtomicInteger(0)
     val samplerBusy = new AtomicLong(0)
     val trainerBusy = new AtomicLong(0)
+    val failed = new AtomicBoolean(false)
 
-    def takeSeeds(b: Int): Array[Int] = {
-      val lo = b * cfg.batchSize
-      val hi = math.min(n, lo + cfg.batchSize)
-      java.util.Arrays.copyOfRange(order, lo, hi)
+    // hands out batch indices until they run out or a worker has failed
+    def eachBatch(body: Int => Unit): Unit = {
+      def next(): Int = if (failed.get()) nBatches else nextBatch.getAndIncrement()
+      var b = next()
+      while (b < nBatches) { body(b); b = next() }
     }
+    def timed[T](busy: AtomicLong)(body: => T): T = {
+      val s0 = System.nanoTime()
+      val r = body
+      busy.addAndGet(System.nanoTime() - s0)
+      r
+    }
+    def trainOne(batch: B): Unit = {
+      val (loss, corr) = timed(trainerBusy)(train(batch))
+      lossSum.add(loss)
+      correct.addAndGet(corr)
+    }
+    def failFast(body: => Unit): Unit =
+      try body catch { case e: Throwable => failed.set(true); throw e }
 
     val t0 = System.nanoTime()
-
-    if (cfg.pipelined) {
-      val channel = new ArrayBlockingQueue[Batch](cfg.prefetch)
+    if (pipelined) {
+      val channel = new ArrayBlockingQueue[B](Prefetch)
       val done = new AtomicInteger(0)
-      val samplers = (0 until cfg.nSamplers).map { sid =>
-        val sampler = new NeighborSampler(g, store, cfg.fanouts, cfg.seed + sid)
-        val t = new Thread(() => {
-          var b = nextBatch.getAndIncrement()
-          while (b < nBatches) {
-            val s0 = System.nanoTime()
-            val batch = sampler.sample(takeSeeds(b), b,
-              localPart = sid % math.max(1, cfg.nNodes), distributed = cfg.distributed)
-            samplerBusy.addAndGet(System.nanoTime() - s0)
-            channel.put(batch)
-            b = nextBatch.getAndIncrement()
+      def samplerLoop(w: Int): Unit =
+        try {
+          val sample = sampler(w)
+          eachBatch { b =>
+            val batch = timed(samplerBusy)(sample(b))
+            while (!channel.offer(batch, 2, TimeUnit.MILLISECONDS) && !failed.get()) {}
           }
-          done.incrementAndGet()
-        }, s"sampler-$sid")
-        t.start(); t
+        } finally done.incrementAndGet()
+      def trainerLoop(): Unit = {
+        var open = true
+        while (open && !failed.get()) {
+          val batch = channel.poll(2, TimeUnit.MILLISECONDS)
+          if (batch != null) trainOne(batch)
+          else if (done.get() == nSamplers && channel.isEmpty) open = false
+        }
       }
-      val trainers = (0 until cfg.nTrainers).map { tid =>
-        val t = new Thread(() => {
-          var run = true
-          while (run) {
-            val batch = channel.poll(2, TimeUnit.MILLISECONDS)
-            if (batch != null) {
-              val s0 = System.nanoTime()
-              val (loss, corr) = model.trainStep(batch, cfg.lr)
-              trainerBusy.addAndGet(System.nanoTime() - s0)
-              lossSum.addAndGet((loss * 1e6).toLong)
-              correct.addAndGet(corr)
-            } else if (done.get() == cfg.nSamplers && channel.isEmpty) run = false
-          }
-        }, s"trainer-$tid")
-        t.start(); t
+      Parallel.run(nSamplers + nTrainers) { i =>
+        failFast(if (i < nSamplers) samplerLoop(i) else trainerLoop())
       }
-      samplers.foreach(_.join())
-      trainers.foreach(_.join())
     } else {
-      // coupled baseline: each worker samples, then trains, no overlap
-      val workers = math.max(cfg.nTrainers, 1)
-      repro.util.Parallel.run(workers) { wid =>
-        val sampler = new NeighborSampler(g, store, cfg.fanouts, cfg.seed + wid)
-        var b = nextBatch.getAndIncrement()
-        while (b < nBatches) {
-          val s0 = System.nanoTime()
-          val batch = sampler.sample(takeSeeds(b), b,
-            localPart = wid % math.max(1, cfg.nNodes), distributed = cfg.distributed)
-          val s1 = System.nanoTime()
-          samplerBusy.addAndGet(s1 - s0)
-          val (loss, corr) = model.trainStep(batch, cfg.lr)
-          trainerBusy.addAndGet(System.nanoTime() - s1)
-          lossSum.addAndGet((loss * 1e6).toLong)
-          correct.addAndGet(corr)
-          b = nextBatch.getAndIncrement()
+      Parallel.run(math.max(nTrainers, 1)) { w =>
+        failFast {
+          val sample = sampler(w)
+          eachBatch(b => trainOne(timed(samplerBusy)(sample(b))))
         }
       }
     }
 
     val ms = (System.nanoTime() - t0) / 1000000
-    Metrics(ms, lossSum.get() / 1e6 / nBatches, correct.get().toDouble / n, nBatches,
+    Metrics(ms, lossSum.sum() / nBatches, correct.get().toDouble / items, nBatches,
       samplerBusy.get() / 1000000, trainerBusy.get() / 1000000)
   }
 }

@@ -1,10 +1,24 @@
 package repro.learning
 
+import org.scalatest.concurrent.{Signaler, ThreadSignaler, TimeLimits}
+import org.scalatest.time.SpanSugar._
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration.Duration
+import scala.jdk.CollectionConverters._
 import repro.SparkSpec
 import repro.graph.{GraphGen, LocalCsr, PropertyGraph}
 import repro.storage.VineyardStore
 
-class LearningSpec extends SparkSpec {
+class LearningSpec extends SparkSpec with TimeLimits {
+
+  private implicit val signaler: Signaler = ThreadSignaler
+
+  /** Runs `body` off the test thread and fails the test if it has not
+    * returned within 20 s, even if its workers ignore the interrupt.
+    */
+  private def within[T](body: => T): T = failAfter(20.seconds) {
+    Await.result(Future(body)(ExecutionContext.global), Duration.Inf)
+  }
 
   private lazy val grin = {
     val edges = GraphGen.simplify(GraphGen.rmat(spark, scale = 10, edges = 8000, seed = 51))
@@ -152,6 +166,69 @@ class LearningSpec extends SparkSpec {
     assert(m.batches == (grin.vertexCount + 255) / 256)
   }
 
+  test("pipeline: a sampler that throws fails the epoch, pipelined and coupled") {
+    Seq(true, false).foreach { pipelined =>
+      val e = intercept[IllegalStateException] {
+        within {
+          LearnPipeline.run[Int](100, 100, nSamplers = 2, nTrainers = 2, pipelined) { _ => b =>
+            if (b == 5) throw new IllegalStateException("sampler failed on batch 5") else b
+          }(_ => (1.0, 1))
+        }
+      }
+      assert(e.getMessage == "sampler failed on batch 5", s"pipelined = $pipelined")
+    }
+  }
+
+  test("pipeline: a trainer that throws fails the epoch, pipelined and coupled") {
+    Seq(true, false).foreach { pipelined =>
+      val e = intercept[IllegalStateException] {
+        within {
+          LearnPipeline.run[Int](100, 100, nSamplers = 2, nTrainers = 2, pipelined)(_ => b => b) {
+            _ => throw new IllegalStateException("trainer failed")
+          }
+        }
+      }
+      assert(e.getMessage == "trainer failed", s"pipelined = $pipelined")
+    }
+  }
+
+  test("pipeline: a NaN batch loss makes the mean loss NaN") {
+    Seq(true, false).foreach { pipelined =>
+      val m = LearnPipeline.run[Int](10, 10, nSamplers = 1, nTrainers = 1, pipelined)(_ => b => b) {
+        b => (if (b == 3) Double.NaN else 1.0, 1)
+      }
+      assert(m.meanLoss.isNaN, s"pipelined = $pipelined: meanLoss ${m.meanLoss}")
+    }
+  }
+
+  test("pipeline: an NCN epoch trains every pair batch once, pipelined and coupled") {
+    val rng = new java.util.Random(12)
+    val batchPairs = 16
+    val nBatches = 20
+    val pairs = Array.fill(nBatches * batchPairs)(
+      (rng.nextInt(grin.vertexCount), rng.nextInt(grin.vertexCount)))
+    val labels = Array.fill(pairs.length)(rng.nextInt(2))
+    val trainer = new NcnTrainer(new Sage(16, 16, 2, 4, seed = 5))
+    Seq(true, false).foreach { pipelined =>
+      val trained = new java.util.concurrent.ConcurrentLinkedQueue[(Int, Int)]()
+      val m = LearnPipeline.run[NcnSampler#NcnBatch](nBatches, pairs.length, nSamplers = 3,
+        nTrainers = 2, pipelined) { w =>
+        val sampler = new NcnSampler(grin, store, Array(4, 3), seed = 8 + w)
+        b => {
+          val lo = b * batchPairs
+          sampler.sampleBatch(pairs.slice(lo, lo + batchPairs), labels.slice(lo, lo + batchPairs), b)
+        }
+      } { nb =>
+        nb.pairs.foreach(trained.add)
+        trainer.trainStep(nb)
+      }
+      assert(m.batches == nBatches)
+      assert(trained.asScala.toSeq.sorted == pairs.toSeq.sorted,
+        s"pipelined = $pipelined")
+      assert(m.meanLoss > 0 && !m.meanLoss.isNaN)
+    }
+  }
+
   test("distributed mode pays simulated network cost") {
     val slowStore = new FeatureStore(grin.vertexCount, 16, 4, nParts = 4, seed = 5,
       remoteLatencyNanos = 2000000) // 2ms per remote batch
@@ -182,10 +259,10 @@ class LearningSpec extends SparkSpec {
     }
   }
 
-  test("ncn: batch training step runs and classifies better than coin flip after updates") {
+  test("ncn: scoring one batch gives a finite, positive loss") {
     val sampler = new NcnSampler(grin, store, Array(4, 3), seed = 9)
     val enc = new Sage(16, 16, 2, 4, seed = 5)
-    val trainer = new NcnTrainer(enc, 0.05f)
+    val trainer = new NcnTrainer(enc)
     val rng = new java.util.Random(6)
     val pos = (0 until 32).map { _ =>
       var u = rng.nextInt(grin.vertexCount)
