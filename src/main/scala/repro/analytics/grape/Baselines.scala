@@ -4,7 +4,7 @@ import java.util.concurrent.ConcurrentLinkedQueue
 import java.util.concurrent.atomic.{AtomicInteger, AtomicIntegerArray, AtomicLongArray}
 import repro.analytics.grape.GrapeEngine.Damping
 import repro.graph.LocalCsr
-import repro.util.Parallel
+import repro.util.{IntBuf, Parallel}
 
 /** Comparator engines for Exp-3 (paper Fig. 7h–k).
   *

@@ -2,7 +2,7 @@ package repro.analytics.grape
 
 import repro.graph.LocalCsr
 import repro.grin.{Direction, GrinGraph}
-import repro.util.Parallel
+import repro.util.{IntBuf, Parallel}
 
 /** One GRAPE fragment (paper §6) under edge-cut partitioning: the inner
   * vertices it owns, their out-edges (CSR) and in-edges (CSC), and the

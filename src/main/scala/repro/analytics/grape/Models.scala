@@ -1,7 +1,7 @@
 package repro.analytics.grape
 
 import repro.graph.LocalCsr
-import repro.util.Parallel
+import repro.util.{IntBuf, Parallel}
 
 /** The three programming models GraphScope Flex layers over GRAPE (§6):
   * subgraph-centric PIE, the one runtime; vertex-centric Pregel, an adapter

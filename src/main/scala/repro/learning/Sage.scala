@@ -6,8 +6,9 @@ package repro.learning
   * Layer `l` maps level-(l+1) embeddings to level-l embeddings:
   * `E_l(i) = relu(Wself_l · E_{l+1}(self(i)) + Wneigh_l · mean_nbr + b_l)`,
   * followed by a linear softmax classifier on the seed embeddings. Full
-  * backpropagation through the mean aggregation; SGD updates. A numeric
-  * gradient check in the test suite validates the backward pass.
+  * backpropagation through the mean aggregation, except into the raw
+  * features, whose gradient nothing reads; SGD updates. A numeric gradient
+  * check in the test suite validates the backward pass for every weight.
   *
   * Updates are Hogwild-style (lock-free) when multiple trainer workers
   * share the model — standard practice for data-parallel GNN training.
@@ -122,31 +123,43 @@ final class Sage(val inputDim: Int, val hidden: Int, val nLayers: Int,
     Forward(embeds, means, logits)
   }
 
+  /** Softmax cross-entropy of one seed's logits `z` against `label`: writes
+    * the softmax into `probs` and returns the loss.
+    */
+  private def softmaxCE(z: Array[Float], label: Int, probs: Array[Double]): Double = {
+    val mx = z.max
+    var sum = 0.0
+    var c = 0
+    while (c < nClasses) { probs(c) = math.exp((z(c) - mx).toDouble); sum += probs(c); c += 1 }
+    c = 0
+    while (c < nClasses) { probs(c) /= sum; c += 1 }
+    -math.log(math.max(1e-12, probs(label)))
+  }
+
   /** One SGD step on a batch; returns (mean CE loss, #correct). */
   def trainStep(b: Batch, lr: Float): (Double, Int) = {
     val f = forward(b)
     val nSeeds = b.levels(0).length
     var loss = 0.0
     var correct = 0
-    val dEmb = f.embeds.map(level => Array.fill(level.length)(new Array[Float](
-      if (level.isEmpty) 0 else level(0).length)))
+    // Gradients of levels 0..nLayers-1; level nLayers is the raw features,
+    // whose gradient nothing reads.
+    val dEmb = Array.tabulate(nLayers)(l => Array.fill(b.levels(l).length)(new Array[Float](hidden)))
 
     // softmax CE gradient on the classifier
     val gWOut = new Array[Float](wOut.length)
     val gBOut = new Array[Float](nClasses)
+    val probs = new Array[Double](nClasses)
+    val dz = new Array[Float](nClasses)
     var i = 0
     while (i < nSeeds) {
       val z = f.logits(i)
-      val mx = z.max
-      val exps = z.map(v => math.exp((v - mx).toDouble))
-      val sum = exps.sum
       val lbl = b.labels(i)
-      loss += -math.log(math.max(1e-12, exps(lbl) / sum))
+      loss += softmaxCE(z, lbl, probs)
       if (z.indexOf(z.max) == lbl) correct += 1
-      val dz = new Array[Float](nClasses)
       var c = 0
       while (c < nClasses) {
-        dz(c) = ((exps(c) / sum) - (if (c == lbl) 1.0 else 0.0)).toFloat / nSeeds
+        dz(c) = (probs(c) - (if (c == lbl) 1.0 else 0.0)).toFloat / nSeeds
         c += 1
       }
       outerAdd(gWOut, dz, f.embeds(0)(i), nClasses, hidden, 1f)
@@ -160,6 +173,9 @@ final class Sage(val inputDim: Int, val hidden: Int, val nLayers: Int,
     val gWSelf = wSelf.map(w => new Array[Float](w.length))
     val gWNeigh = wNeigh.map(w => new Array[Float](w.length))
     val gBias = bias.map(_ => new Array[Float](hidden))
+    // A node's mean aggregator hands every sampled neighbour the same
+    // gradient, Wneigh^T · dy / deg, so it is formed once per node.
+    val dMean = new Array[Float](hidden)
     var l = 0
     while (l < nLayers) {
       val inD = inDimOf(l)
@@ -175,14 +191,20 @@ final class Sage(val inputDim: Int, val hidden: Int, val nLayers: Int,
         outerAdd(gWNeigh(l), dy, f.means(l)(ii), hidden, inD, 1f)
         k = 0
         while (k < hidden) { gBias(l)(k) += dy(k); k += 1 }
-        matTVecAdd(wSelf(l), hidden, inD, dy, dEmb(l + 1)(b.selfIdx(l)(ii)), 1f)
-        val lo = b.nbrPtr(l)(ii); val hi = b.nbrPtr(l)(ii + 1)
-        if (hi > lo) {
-          val inv = 1f / (hi - lo)
-          var j = lo
-          while (j < hi) {
-            matTVecAdd(wNeigh(l), hidden, inD, dy, dEmb(l + 1)(b.nbrIdx(l)(j)), inv)
-            j += 1
+        if (l + 1 < nLayers) {
+          val dIn = dEmb(l + 1)
+          matTVecAdd(wSelf(l), hidden, inD, dy, dIn(b.selfIdx(l)(ii)), 1f)
+          val lo = b.nbrPtr(l)(ii); val hi = b.nbrPtr(l)(ii + 1)
+          if (hi > lo) {
+            java.util.Arrays.fill(dMean, 0f)
+            matTVecAdd(wNeigh(l), hidden, inD, dy, dMean, 1f / (hi - lo))
+            var j = lo
+            while (j < hi) {
+              val dx = dIn(b.nbrIdx(l)(j))
+              k = 0
+              while (k < inD) { dx(k) += dMean(k); k += 1 }
+              j += 1
+            }
           }
         }
         ii += 1
@@ -207,13 +229,11 @@ final class Sage(val inputDim: Int, val hidden: Int, val nLayers: Int,
   /** Loss without updating — for gradient-check and eval tests. */
   def evalLoss(b: Batch): Double = {
     val f = forward(b)
+    val probs = new Array[Double](nClasses)
     var loss = 0.0
     var i = 0
     while (i < b.levels(0).length) {
-      val z = f.logits(i)
-      val mx = z.max
-      val exps = z.map(v => math.exp((v - mx).toDouble))
-      loss += -math.log(math.max(1e-12, exps(b.labels(i)) / exps.sum))
+      loss += softmaxCE(f.logits(i), b.labels(i), probs)
       i += 1
     }
     loss / b.levels(0).length

@@ -1,6 +1,7 @@
 package repro.learning
 
 import repro.grin.{Direction, GrinGraph}
+import repro.util.{IntBuf, LongIntMap}
 
 /** One layered mini-batch: level 0 = seeds, level L = deepest sampled hop.
   * Every level-l node also appears in level l+1 (`selfIdx`) so the SAGE
@@ -36,35 +37,45 @@ final class NeighborSampler(g: GrinGraph, store: FeatureStore,
     val nbrIdx = new Array[Array[Int]](L)
     levels(0) = seeds
 
+    // primitive buffers, reused for every vertex and every level
+    val nbrs = new IntBuf
+    val nextNodes = new IntBuf
+    val idxBuf = new IntBuf
+    val cursor = g.newCursor(Direction.Out)
     var l = 0
     while (l < L) {
       val cur = levels(l)
-      val nextNodes = new scala.collection.mutable.ArrayBuffer[Int]()
-      val index = new scala.collection.mutable.HashMap[Int, Int]()
-      def idxOf(v: Int): Int = index.getOrElseUpdate(v, { nextNodes += v; nextNodes.length - 1 })
+      nextNodes.clear()
+      idxBuf.clear()
+      val index = new LongIntMap(cur.length * 2)
+      def idxOf(v: Int): Int = {
+        val j = index.get(v)
+        if (j >= 0) j
+        else { index.put(v, nextNodes.size); nextNodes.add(v); nextNodes.size - 1 }
+      }
 
       val self = new Array[Int](cur.length)
       val ptr = new Array[Int](cur.length + 1)
-      val idxBuf = new scala.collection.mutable.ArrayBuffer[Int]()
-      val cursor = g.newCursor(Direction.Out)
       var i = 0
       while (i < cur.length) {
         val v = cur(i)
         self(i) = idxOf(v)
         // one adjacency pass, then sample from the materialized list
-        val nbrs = new scala.collection.mutable.ArrayBuffer[Int]()
+        nbrs.clear()
         val c = cursor.seek(v)
-        while (c.moveNext()) nbrs += c.neighbor
-        val deg = nbrs.length
+        while (c.moveNext()) nbrs.add(c.neighbor)
+        val deg = nbrs.size
         if (deg > 0) {
-          if (deg <= fanouts(l)) nbrs.foreach(u => idxBuf += idxOf(u))
-          else {
+          if (deg <= fanouts(l)) {
+            var k = 0
+            while (k < deg) { idxBuf.add(idxOf(nbrs(k))); k += 1 }
+          } else {
             // sampling with replacement: unbiased enough at fanout << degree
             var k = 0
-            while (k < fanouts(l)) { idxBuf += idxOf(nbrs(rng.nextInt(deg))); k += 1 }
+            while (k < fanouts(l)) { idxBuf.add(idxOf(nbrs(rng.nextInt(deg)))); k += 1 }
           }
         }
-        ptr(i + 1) = idxBuf.length
+        ptr(i + 1) = idxBuf.size
         i += 1
       }
       levels(l + 1) = nextNodes.toArray

@@ -98,28 +98,65 @@ class LearningSpec extends SparkSpec with TimeLimits {
     }
   }
 
+  /** The gradient of the loss on `b` with respect to the weights `param`
+    * picks out of a model made by `make`. `analytic` holds every entry,
+    * recovered from one `trainStep` with a tiny lr on a fresh model;
+    * `numeric(k)` is entry k by central differences of `evalLoss`.
+    */
+  private final class GradProbe(b: Batch, make: () => Sage, param: Sage => Array[Float]) {
+    private val lr = 1e-4f
+    private val eps = 1e-3f
+    val analytic: Array[Float] = {
+      val stepped = make()
+      val before = param(stepped).clone()
+      stepped.trainStep(b, lr)
+      Array.tabulate(before.length)(k => (before(k) - param(stepped)(k)) / lr)
+    }
+    private val model = make()
+    def numeric(k: Int): Double = {
+      val w = param(model)
+      w(k) += eps
+      val up = model.evalLoss(b)
+      w(k) -= 2 * eps
+      val down = model.evalLoss(b)
+      w(k) += eps
+      (up - down) / (2 * eps)
+    }
+  }
+
   test("sage: numeric gradient check on wOut") {
     val g2 = grin
     val sampler = new NeighborSampler(g2, store, Array(3, 2), seed = 6)
     val b = sampler.sample(Array(0, 1, 2, 3, 4, 5, 6, 7), 11)
-    val model = new Sage(inputDim = 16, hidden = 8, nLayers = 2, nClasses = 4, seed = 2)
-    // analytic gradient via a probe: loss after tiny update in one direction
-    val eps = 1e-3f
+    val probe = new GradProbe(b, () => new Sage(inputDim = 16, hidden = 8, nLayers = 2, nClasses = 4, seed = 2),
+      _.wOut)
     val k = 5 // probe one weight
-    val base = model.evalLoss(b)
-    model.wOut(k) += eps
-    val up = model.evalLoss(b)
-    model.wOut(k) -= 2 * eps
-    val down = model.evalLoss(b)
-    model.wOut(k) += eps
-    val numericGrad = (up - down) / (2 * eps)
-    // analytic: run one trainStep on a *clone* with tiny lr and recover grad
-    val clone = new Sage(16, 8, 2, 4, seed = 2)
-    val lr = 1e-4f
-    clone.trainStep(b, lr)
-    val analyticGrad = (model.wOut(k) - clone.wOut(k)) / lr
+    val numericGrad = probe.numeric(k)
+    val analyticGrad = probe.analytic(k)
     assert(math.abs(analyticGrad - numericGrad) < 0.05 * (math.abs(numericGrad) + 0.05),
       s"numeric $numericGrad vs analytic $analyticGrad")
+  }
+
+  test("sage: numeric gradient check on wSelf, wNeigh and bias of every layer") {
+    val sampler = new NeighborSampler(grin, store, Array(3, 3, 3), seed = 6)
+    val b = sampler.sample(Array(0, 1, 2, 3, 4, 5, 6, 7), 11)
+    val make = () => new Sage(inputDim = 16, hidden = 8, nLayers = 3, nClasses = 4, seed = 2)
+    val params = (0 until 3).flatMap { l =>
+      Seq[(String, Sage => Array[Float])](
+        s"wSelf($l)" -> (_.wSelf(l)), s"wNeigh($l)" -> (_.wNeigh(l)), s"bias($l)" -> (_.bias(l)))
+    }
+    params.foreach { case (name, param) =>
+      val probe = new GradProbe(b, make, param)
+      // the largest analytic entries, so a gradient of zeros cannot pass
+      val probed = probe.analytic.indices.sortBy(k => -math.abs(probe.analytic(k))).take(3)
+      val numeric = probed.map(probe.numeric)
+      assert(numeric.exists(n => math.abs(n) > 1e-3), s"$name: numeric gradient ~0 at $probed")
+      probed.zip(numeric).foreach { case (k, numericGrad) =>
+        val analyticGrad = probe.analytic(k)
+        assert(math.abs(analyticGrad - numericGrad) < 0.05 * (math.abs(numericGrad) + 0.05),
+          s"$name($k): numeric $numericGrad vs analytic $analyticGrad")
+      }
+    }
   }
 
   test("sage: training reduces loss and beats random accuracy") {
